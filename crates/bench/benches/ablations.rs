@@ -4,9 +4,11 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hique_bench::runner::{plan_sql, run_engine, Engine};
+use hique_bench::runner::measure;
 use hique_bench::workload::{join_query_sql, join_workload};
-use hique_plan::{JoinAlgorithm, PlannerConfig};
+use hique_dsm::DsmDatabase;
+use hique_plan::{plan_sql, JoinAlgorithm, PlannerConfig};
+use hique_server::Engine;
 
 fn partition_fanout(c: &mut Criterion) {
     // The hybrid join's partition count is derived from the L2 size; sweep
@@ -16,6 +18,7 @@ fn partition_fanout(c: &mut Criterion) {
     group.warm_up_time(Duration::from_millis(200));
     group.measurement_time(Duration::from_millis(600));
     let catalog = join_workload(20_000, 20_000, 10).unwrap();
+    let dsm = DsmDatabase::from_catalog(&catalog).unwrap();
     for l2_kb in [256usize, 1024, 2048, 8192] {
         let mut config =
             PlannerConfig::default().with_join_algorithm(JoinAlgorithm::HybridHashSortMerge);
@@ -26,7 +29,7 @@ fn partition_fanout(c: &mut Criterion) {
             &l2_kb,
             |b, _| {
                 b.iter(|| {
-                    run_engine(Engine::Hique, &plan, &catalog, None, false)
+                    measure(Engine::Holistic, &plan, &catalog, &dsm, false)
                         .unwrap()
                         .rows
                 })
@@ -44,6 +47,7 @@ fn fine_vs_coarse(c: &mut Criterion) {
     group.warm_up_time(Duration::from_millis(200));
     group.measurement_time(Duration::from_millis(600));
     let catalog = join_workload(20_000, 20_000, 40).unwrap(); // 500 distinct keys
+    let dsm = DsmDatabase::from_catalog(&catalog).unwrap();
     for (label, algo) in [
         ("fine_partition_join", JoinAlgorithm::Partition),
         ("hybrid_hash_sort_merge", JoinAlgorithm::HybridHashSortMerge),
@@ -53,7 +57,7 @@ fn fine_vs_coarse(c: &mut Criterion) {
         let plan = plan_sql(join_query_sql(), &catalog, &config).unwrap();
         group.bench_function(label, |b| {
             b.iter(|| {
-                run_engine(Engine::Hique, &plan, &catalog, None, false)
+                measure(Engine::Holistic, &plan, &catalog, &dsm, false)
                     .unwrap()
                     .rows
             })

@@ -4,9 +4,11 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hique_bench::runner::{plan_sql, run_engine, Engine};
+use hique_bench::runner::measure;
 use hique_bench::workload::{agg_query_sql, agg_workload};
-use hique_plan::{AggAlgorithm, PlannerConfig};
+use hique_dsm::DsmDatabase;
+use hique_plan::{plan_sql, AggAlgorithm, PlannerConfig};
+use hique_server::Engine;
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig6_agg_profiling");
@@ -23,23 +25,14 @@ fn bench(c: &mut Criterion) {
         ("agg_query_2_map", 50_000, 10, AggAlgorithm::Map),
     ] {
         let catalog = agg_workload(rows, groups).unwrap();
+        let dsm = DsmDatabase::from_catalog(&catalog).unwrap();
         let config = PlannerConfig::default().with_agg_algorithm(algo);
         let plan = plan_sql(agg_query_sql(), &catalog, &config).unwrap();
-        for engine in [
-            Engine::GenericIterators,
-            Engine::OptimizedIterators,
-            Engine::Hique,
-        ] {
+        for engine in [Engine::IterGeneric, Engine::IterOptimized, Engine::Holistic] {
             group.bench_with_input(
                 BenchmarkId::new(name, engine.label()),
                 &engine,
-                |b, &engine| {
-                    b.iter(|| {
-                        run_engine(engine, &plan, &catalog, None, true)
-                            .unwrap()
-                            .rows
-                    })
-                },
+                |b, &engine| b.iter(|| measure(engine, &plan, &catalog, &dsm, true).unwrap().rows),
             );
         }
     }

@@ -4,9 +4,11 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hique_bench::runner::{plan_sql, run_engine, Engine};
+use hique_bench::runner::measure;
 use hique_bench::workload::{agg_query_sql, agg_workload};
-use hique_plan::{AggAlgorithm, PlannerConfig};
+use hique_dsm::DsmDatabase;
+use hique_plan::{plan_sql, AggAlgorithm, PlannerConfig};
+use hique_server::Engine;
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig7d_group_cardinality");
@@ -16,6 +18,7 @@ fn bench(c: &mut Criterion) {
     let rows = 50_000usize;
     for groups in [10usize, 1_000, 20_000] {
         let catalog = agg_workload(rows, groups).unwrap();
+        let dsm = DsmDatabase::from_catalog(&catalog).unwrap();
         for algo in [
             AggAlgorithm::Sort,
             AggAlgorithm::HybridHashSort,
@@ -28,7 +31,7 @@ fn bench(c: &mut Criterion) {
                 &groups,
                 |b, _| {
                     b.iter(|| {
-                        run_engine(Engine::Hique, &plan, &catalog, None, true)
+                        measure(Engine::Holistic, &plan, &catalog, &dsm, true)
                             .unwrap()
                             .rows
                     })

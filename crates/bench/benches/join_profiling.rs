@@ -5,9 +5,11 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hique_bench::runner::{plan_sql, run_engine, Engine};
+use hique_bench::runner::measure;
 use hique_bench::workload::{join_query_sql, join_workload};
-use hique_plan::{JoinAlgorithm, PlannerConfig};
+use hique_dsm::DsmDatabase;
+use hique_plan::{plan_sql, JoinAlgorithm, PlannerConfig};
+use hique_server::Engine;
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig5_join_profiling");
@@ -31,23 +33,14 @@ fn bench(c: &mut Criterion) {
         ),
     ] {
         let catalog = join_workload(outer, inner, matches).unwrap();
+        let dsm = DsmDatabase::from_catalog(&catalog).unwrap();
         let config = PlannerConfig::default().with_join_algorithm(algo);
         let plan = plan_sql(join_query_sql(), &catalog, &config).unwrap();
-        for engine in [
-            Engine::GenericIterators,
-            Engine::OptimizedIterators,
-            Engine::Hique,
-        ] {
+        for engine in [Engine::IterGeneric, Engine::IterOptimized, Engine::Holistic] {
             group.bench_with_input(
                 BenchmarkId::new(name, engine.label()),
                 &engine,
-                |b, &engine| {
-                    b.iter(|| {
-                        run_engine(engine, &plan, &catalog, None, false)
-                            .unwrap()
-                            .rows
-                    })
-                },
+                |b, &engine| b.iter(|| measure(engine, &plan, &catalog, &dsm, false).unwrap().rows),
             );
         }
     }

@@ -3,9 +3,11 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hique_bench::runner::{plan_sql, run_engine, Engine};
+use hique_bench::runner::measure;
 use hique_bench::workload::{join_query_sql, join_workload};
-use hique_plan::{JoinAlgorithm, PlannerConfig};
+use hique_dsm::DsmDatabase;
+use hique_plan::{plan_sql, JoinAlgorithm, PlannerConfig};
+use hique_server::Engine;
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig7a_join_scalability");
@@ -16,32 +18,29 @@ fn bench(c: &mut Criterion) {
     for factor in [1usize, 2, 4] {
         let inner = outer * factor;
         let catalog = join_workload(outer, inner, 10).unwrap();
+        let dsm = DsmDatabase::from_catalog(&catalog).unwrap();
         for (label, engine, algo) in [
             (
                 "merge_iterators",
-                Engine::OptimizedIterators,
+                Engine::IterOptimized,
                 JoinAlgorithm::Merge,
             ),
             (
                 "hybrid_iterators",
-                Engine::OptimizedIterators,
+                Engine::IterOptimized,
                 JoinAlgorithm::HybridHashSortMerge,
             ),
-            ("merge_hique", Engine::Hique, JoinAlgorithm::Merge),
+            ("merge_hique", Engine::Holistic, JoinAlgorithm::Merge),
             (
                 "hybrid_hique",
-                Engine::Hique,
+                Engine::Holistic,
                 JoinAlgorithm::HybridHashSortMerge,
             ),
         ] {
             let config = PlannerConfig::default().with_join_algorithm(algo);
             let plan = plan_sql(join_query_sql(), &catalog, &config).unwrap();
             group.bench_with_input(BenchmarkId::new(label, inner), &engine, |b, &engine| {
-                b.iter(|| {
-                    run_engine(engine, &plan, &catalog, None, false)
-                        .unwrap()
-                        .rows
-                })
+                b.iter(|| measure(engine, &plan, &catalog, &dsm, false).unwrap().rows)
             });
         }
     }

@@ -3,9 +3,11 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hique_bench::runner::{plan_sql, run_engine, Engine};
+use hique_bench::runner::measure;
 use hique_bench::workload::{join_query_sql, join_workload};
-use hique_plan::{JoinAlgorithm, PlannerConfig};
+use hique_dsm::DsmDatabase;
+use hique_plan::{plan_sql, JoinAlgorithm, PlannerConfig};
+use hique_server::Engine;
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig7c_join_selectivity");
@@ -15,27 +17,24 @@ fn bench(c: &mut Criterion) {
     let rows = 10_000usize;
     for matches in [1usize, 10, 100] {
         let catalog = join_workload(rows, rows, matches).unwrap();
+        let dsm = DsmDatabase::from_catalog(&catalog).unwrap();
         for (label, engine, algo) in [
             (
                 "merge_iterators",
-                Engine::OptimizedIterators,
+                Engine::IterOptimized,
                 JoinAlgorithm::Merge,
             ),
-            ("merge_hique", Engine::Hique, JoinAlgorithm::Merge),
+            ("merge_hique", Engine::Holistic, JoinAlgorithm::Merge),
             (
                 "hybrid_hique",
-                Engine::Hique,
+                Engine::Holistic,
                 JoinAlgorithm::HybridHashSortMerge,
             ),
         ] {
             let config = PlannerConfig::default().with_join_algorithm(algo);
             let plan = plan_sql(join_query_sql(), &catalog, &config).unwrap();
             group.bench_with_input(BenchmarkId::new(label, matches), &engine, |b, &engine| {
-                b.iter(|| {
-                    run_engine(engine, &plan, &catalog, None, false)
-                        .unwrap()
-                        .rows
-                })
+                b.iter(|| measure(engine, &plan, &catalog, &dsm, false).unwrap().rows)
             });
         }
     }

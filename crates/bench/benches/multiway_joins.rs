@@ -3,9 +3,11 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hique_bench::runner::{plan_sql, run_engine, Engine};
+use hique_bench::runner::measure;
 use hique_bench::workload::{multiway_query_sql, multiway_workload};
-use hique_plan::{JoinAlgorithm, PlannerConfig};
+use hique_dsm::DsmDatabase;
+use hique_plan::{plan_sql, JoinAlgorithm, PlannerConfig};
+use hique_server::Engine;
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig7b_multiway_joins");
@@ -14,6 +16,7 @@ fn bench(c: &mut Criterion) {
     group.measurement_time(Duration::from_millis(600));
     for num_dims in [2usize, 4, 8] {
         let catalog = multiway_workload(20_000, 2_000, num_dims).unwrap();
+        let dsm = DsmDatabase::from_catalog(&catalog).unwrap();
         let sql = multiway_query_sql(num_dims);
         let cascade_cfg = PlannerConfig::default()
             .with_join_algorithm(JoinAlgorithm::Merge)
@@ -27,15 +30,9 @@ fn bench(c: &mut Criterion) {
             &num_dims,
             |b, _| {
                 b.iter(|| {
-                    run_engine(
-                        Engine::OptimizedIterators,
-                        &cascade_plan,
-                        &catalog,
-                        None,
-                        false,
-                    )
-                    .unwrap()
-                    .rows
+                    measure(Engine::IterOptimized, &cascade_plan, &catalog, &dsm, false)
+                        .unwrap()
+                        .rows
                 })
             },
         );
@@ -44,7 +41,7 @@ fn bench(c: &mut Criterion) {
             &num_dims,
             |b, _| {
                 b.iter(|| {
-                    run_engine(Engine::Hique, &cascade_plan, &catalog, None, false)
+                    measure(Engine::Holistic, &cascade_plan, &catalog, &dsm, false)
                         .unwrap()
                         .rows
                 })
@@ -55,7 +52,7 @@ fn bench(c: &mut Criterion) {
             &num_dims,
             |b, _| {
                 b.iter(|| {
-                    run_engine(Engine::Hique, &team_plan, &catalog, None, false)
+                    measure(Engine::Holistic, &team_plan, &catalog, &dsm, false)
                         .unwrap()
                         .rows
                 })

@@ -5,9 +5,10 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hique_bench::runner::{plan_sql, run_engine, Engine};
+use hique_bench::runner::measure;
 use hique_dsm::DsmDatabase;
-use hique_plan::PlannerConfig;
+use hique_plan::{plan_sql, PlannerConfig};
+use hique_server::Engine;
 use hique_tpch::queries::all_queries;
 
 fn bench(c: &mut Criterion) {
@@ -20,21 +21,15 @@ fn bench(c: &mut Criterion) {
     for (name, sql) in all_queries() {
         let plan = plan_sql(sql, &catalog, &PlannerConfig::default()).unwrap();
         for engine in [
-            Engine::GenericIterators,
-            Engine::OptimizedIterators,
+            Engine::IterGeneric,
+            Engine::IterOptimized,
             Engine::Dsm,
-            Engine::Hique,
+            Engine::Holistic,
         ] {
             group.bench_with_input(
                 BenchmarkId::new(name, engine.label()),
                 &engine,
-                |b, &engine| {
-                    b.iter(|| {
-                        run_engine(engine, &plan, &catalog, Some(&dsm), true)
-                            .unwrap()
-                            .rows
-                    })
-                },
+                |b, &engine| b.iter(|| measure(engine, &plan, &catalog, &dsm, true).unwrap().rows),
             );
         }
     }

@@ -21,11 +21,10 @@
 
 use std::time::Instant;
 
-use hique_bench::runner::plan_sql;
 use hique_bench::trend::{parse_results, regressions, render_snapshot, BenchResult};
 use hique_bench::workload::{agg_query_sql, agg_workload, join_query_sql, join_workload};
 use hique_holistic::ExecOptions;
-use hique_plan::{AggAlgorithm, JoinAlgorithm, PlannerConfig};
+use hique_plan::{plan_sql, AggAlgorithm, JoinAlgorithm, PlannerConfig};
 use hique_storage::Catalog;
 
 struct Args {

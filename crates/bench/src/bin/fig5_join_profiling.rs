@@ -13,11 +13,11 @@
 use std::time::Instant;
 
 use hique_bench::handcoded::{hybrid_join_count, merge_join_count, HandVariant};
-use hique_bench::runner::{
-    bench_scale, plan_sql, render_profile_table, run_engine, Engine, Measurement,
-};
+use hique_bench::runner::{bench_scale, measure, render_profile_table, Measurement};
 use hique_bench::workload::{join_query_sql, join_workload};
-use hique_plan::{JoinAlgorithm, PlannerConfig};
+use hique_dsm::DsmDatabase;
+use hique_plan::{plan_sql, JoinAlgorithm, PlannerConfig};
+use hique_server::Engine;
 use hique_types::ExecStats;
 
 fn main() {
@@ -51,12 +51,13 @@ fn main() {
 
 fn run_query(title: &str, outer: usize, inner: usize, matches: usize, algo: JoinAlgorithm) {
     let catalog = join_workload(outer, inner, matches).expect("workload");
+    let dsm = DsmDatabase::from_catalog(&catalog).expect("dsm");
     let config = PlannerConfig::default().with_join_algorithm(algo);
     let plan = plan_sql(join_query_sql(), &catalog, &config).expect("plan");
 
     let mut measurements = Vec::new();
-    for engine in [Engine::GenericIterators, Engine::OptimizedIterators] {
-        measurements.push(run_engine(engine, &plan, &catalog, None, false).expect("run"));
+    for engine in [Engine::IterGeneric, Engine::IterOptimized] {
+        measurements.push(measure(engine, &plan, &catalog, &dsm, false).expect("run"));
     }
     // Hand-coded variants.
     let outer_heap = &catalog.table("outer_t").unwrap().heap;
@@ -78,7 +79,7 @@ fn run_query(title: &str, outer: usize, inner: usize, matches: usize, algo: Join
             rows,
         });
     }
-    measurements.push(run_engine(Engine::Hique, &plan, &catalog, None, false).expect("run"));
+    measurements.push(measure(Engine::Holistic, &plan, &catalog, &dsm, false).expect("run"));
 
     let expected = measurements[0].rows;
     assert!(

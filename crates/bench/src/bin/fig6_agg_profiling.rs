@@ -10,11 +10,11 @@
 use std::time::Instant;
 
 use hique_bench::handcoded::{aggregate, HandVariant};
-use hique_bench::runner::{
-    bench_scale, plan_sql, render_profile_table, run_engine, Engine, Measurement,
-};
+use hique_bench::runner::{bench_scale, measure, render_profile_table, Measurement};
 use hique_bench::workload::{agg_query_sql, agg_workload};
-use hique_plan::{AggAlgorithm, PlannerConfig};
+use hique_dsm::DsmDatabase;
+use hique_plan::{plan_sql, AggAlgorithm, PlannerConfig};
+use hique_server::Engine;
 use hique_types::ExecStats;
 
 fn main() {
@@ -42,12 +42,13 @@ fn main() {
 
 fn run_query(title: &str, rows: usize, groups: usize, algo: AggAlgorithm, use_map: bool) {
     let catalog = agg_workload(rows, groups).expect("workload");
+    let dsm = DsmDatabase::from_catalog(&catalog).expect("dsm");
     let config = PlannerConfig::default().with_agg_algorithm(algo);
     let plan = plan_sql(agg_query_sql(), &catalog, &config).expect("plan");
 
     let mut measurements = Vec::new();
-    for engine in [Engine::GenericIterators, Engine::OptimizedIterators] {
-        measurements.push(run_engine(engine, &plan, &catalog, None, true).expect("run"));
+    for engine in [Engine::IterGeneric, Engine::IterOptimized] {
+        measurements.push(measure(engine, &plan, &catalog, &dsm, true).expect("run"));
     }
     let heap = &catalog.table("agg_t").unwrap().heap;
     for (label, variant) in [
@@ -64,7 +65,7 @@ fn run_query(title: &str, rows: usize, groups: usize, algo: AggAlgorithm, use_ma
             rows: count as u64,
         });
     }
-    measurements.push(run_engine(Engine::Hique, &plan, &catalog, None, true).expect("run"));
+    measurements.push(measure(Engine::Holistic, &plan, &catalog, &dsm, true).expect("run"));
 
     let expected = measurements[0].rows;
     assert!(

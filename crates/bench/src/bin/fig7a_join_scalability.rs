@@ -6,9 +6,11 @@
 
 #![forbid(unsafe_code)]
 
-use hique_bench::runner::{bench_scale, plan_sql, render_series_table, run_engine, Engine};
+use hique_bench::runner::{bench_scale, measure, render_series_table};
 use hique_bench::workload::{join_query_sql, join_workload};
-use hique_plan::{JoinAlgorithm, PlannerConfig};
+use hique_dsm::DsmDatabase;
+use hique_plan::{plan_sql, JoinAlgorithm, PlannerConfig};
+use hique_server::Engine;
 
 fn main() {
     let s = bench_scale();
@@ -24,19 +26,17 @@ fn main() {
     for step in 1..=steps {
         let inner = outer * step;
         let catalog = join_workload(outer, inner, 10).expect("workload");
+        let dsm = DsmDatabase::from_catalog(&catalog).expect("dsm");
         let mut times = Vec::new();
         for (engine, algo) in [
-            (Engine::OptimizedIterators, JoinAlgorithm::Merge),
-            (
-                Engine::OptimizedIterators,
-                JoinAlgorithm::HybridHashSortMerge,
-            ),
-            (Engine::Hique, JoinAlgorithm::Merge),
-            (Engine::Hique, JoinAlgorithm::HybridHashSortMerge),
+            (Engine::IterOptimized, JoinAlgorithm::Merge),
+            (Engine::IterOptimized, JoinAlgorithm::HybridHashSortMerge),
+            (Engine::Holistic, JoinAlgorithm::Merge),
+            (Engine::Holistic, JoinAlgorithm::HybridHashSortMerge),
         ] {
             let config = PlannerConfig::default().with_join_algorithm(algo);
             let plan = plan_sql(join_query_sql(), &catalog, &config).expect("plan");
-            let m = run_engine(engine, &plan, &catalog, None, false).expect("run");
+            let m = measure(engine, &plan, &catalog, &dsm, false).expect("run");
             times.push(m.elapsed);
         }
         rows.push((format!("inner = {inner}"), times));

@@ -7,9 +7,11 @@
 
 #![forbid(unsafe_code)]
 
-use hique_bench::runner::{bench_scale, plan_sql, render_series_table, run_engine, Engine};
+use hique_bench::runner::{bench_scale, measure, render_series_table};
 use hique_bench::workload::{multiway_query_sql, multiway_workload};
-use hique_plan::{JoinAlgorithm, PlannerConfig};
+use hique_dsm::DsmDatabase;
+use hique_plan::{plan_sql, JoinAlgorithm, PlannerConfig};
+use hique_server::Engine;
 
 fn main() {
     let s = bench_scale();
@@ -24,6 +26,7 @@ fn main() {
     let mut rows = Vec::new();
     for num_dims in 2..=8usize {
         let catalog = multiway_workload(fact, dim, num_dims).expect("workload");
+        let dsm = DsmDatabase::from_catalog(&catalog).expect("dsm");
         let sql = multiway_query_sql(num_dims);
         let mut times = Vec::new();
         // Binary cascades (join teams disabled).
@@ -32,18 +35,12 @@ fn main() {
             .with_join_teams(false);
         let cascade_plan = plan_sql(&sql, &catalog, &cascade_cfg).expect("plan");
         times.push(
-            run_engine(
-                Engine::OptimizedIterators,
-                &cascade_plan,
-                &catalog,
-                None,
-                false,
-            )
-            .expect("run")
-            .elapsed,
+            measure(Engine::IterOptimized, &cascade_plan, &catalog, &dsm, false)
+                .expect("run")
+                .elapsed,
         );
         times.push(
-            run_engine(Engine::Hique, &cascade_plan, &catalog, None, false)
+            measure(Engine::Holistic, &cascade_plan, &catalog, &dsm, false)
                 .expect("run")
                 .elapsed,
         );
@@ -58,7 +55,7 @@ fn main() {
                 "team expected for {num_dims} dims"
             );
             times.push(
-                run_engine(Engine::Hique, &plan, &catalog, None, false)
+                measure(Engine::Holistic, &plan, &catalog, &dsm, false)
                     .expect("run")
                     .elapsed,
             );

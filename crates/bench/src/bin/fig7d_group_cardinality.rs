@@ -9,9 +9,11 @@
 
 #![forbid(unsafe_code)]
 
-use hique_bench::runner::{bench_scale, plan_sql, render_series_table, run_engine, Engine};
+use hique_bench::runner::{bench_scale, measure, render_series_table};
 use hique_bench::workload::{agg_query_sql, agg_workload};
-use hique_plan::{AggAlgorithm, PlannerConfig};
+use hique_dsm::DsmDatabase;
+use hique_plan::{plan_sql, AggAlgorithm, PlannerConfig};
+use hique_server::Engine;
 
 fn main() {
     let s = bench_scale();
@@ -28,8 +30,9 @@ fn main() {
     for groups in [10usize, 100, 1_000, 10_000, 100_000] {
         let groups = groups.min(rows);
         let catalog = agg_workload(rows, groups).expect("workload");
+        let dsm = DsmDatabase::from_catalog(&catalog).expect("dsm");
         let mut times = Vec::new();
-        for engine in [Engine::OptimizedIterators, Engine::Hique] {
+        for engine in [Engine::IterOptimized, Engine::Holistic] {
             for algo in [
                 AggAlgorithm::Sort,
                 AggAlgorithm::HybridHashSort,
@@ -37,7 +40,7 @@ fn main() {
             ] {
                 let config = PlannerConfig::default().with_agg_algorithm(algo);
                 let plan = plan_sql(agg_query_sql(), &catalog, &config).expect("plan");
-                let m = run_engine(engine, &plan, &catalog, None, true).expect("run");
+                let m = measure(engine, &plan, &catalog, &dsm, true).expect("run");
                 assert_eq!(m.rows, groups as u64, "{engine:?} {algo:?}");
                 times.push(m.elapsed);
             }

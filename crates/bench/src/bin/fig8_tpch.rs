@@ -16,9 +16,10 @@
 
 #![forbid(unsafe_code)]
 
-use hique_bench::runner::{plan_sql, run_engine, Engine};
+use hique_bench::runner::measure;
 use hique_dsm::DsmDatabase;
-use hique_plan::PlannerConfig;
+use hique_plan::{plan_sql, PlannerConfig};
+use hique_server::Engine;
 use hique_tpch::queries::all_queries;
 
 fn main() {
@@ -42,12 +43,12 @@ fn main() {
     for (name, sql) in all_queries() {
         let plan = plan_sql(sql, &catalog, &PlannerConfig::default()).expect("plan");
         for (engine, label) in [
-            (Engine::GenericIterators, "PostgreSQL-class (iterators)"),
-            (Engine::OptimizedIterators, "System X-class (opt. iter.)"),
+            (Engine::IterGeneric, "PostgreSQL-class (iterators)"),
+            (Engine::IterOptimized, "System X-class (opt. iter.)"),
             (Engine::Dsm, "MonetDB-class (DSM)"),
-            (Engine::Hique, "HIQUE"),
+            (Engine::Holistic, "HIQUE"),
         ] {
-            let m = run_engine(engine, &plan, &catalog, Some(&dsm), true).expect("run");
+            let m = measure(engine, &plan, &catalog, &dsm, true).expect("run");
             println!(
                 "{:<8} {:<28} {:>12.2} {:>10}",
                 name,

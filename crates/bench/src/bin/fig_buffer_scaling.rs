@@ -18,9 +18,8 @@
 
 use std::time::{Duration, Instant};
 
-use hique_bench::runner::plan_sql;
 use hique_holistic::ExecOptions;
-use hique_plan::PlannerConfig;
+use hique_plan::{plan_sql, PlannerConfig};
 use hique_storage::Catalog;
 use hique_types::IoStats;
 

@@ -170,7 +170,6 @@ fn main() {
             threads: 1,
             memory_budget_pages: 0,
             plan_cache_capacity: 64,
-            ..ServerConfig::default()
         },
     )
     .expect("server");

@@ -20,9 +20,10 @@
 
 #![forbid(unsafe_code)]
 
-use hique_bench::runner::{plan_sql, run_engine, Engine};
+use hique_bench::runner::measure;
 use hique_dsm::DsmDatabase;
-use hique_plan::PlannerConfig;
+use hique_plan::{plan_sql, PlannerConfig};
+use hique_server::Engine;
 
 struct Args {
     sf: f64,
@@ -70,7 +71,7 @@ fn parse_args() -> Result<Args, String> {
     })
 }
 
-const ENGINES: [Engine; 3] = [Engine::Hique, Engine::OptimizedIterators, Engine::Dsm];
+const ENGINES: [Engine; 3] = [Engine::Holistic, Engine::IterOptimized, Engine::Dsm];
 
 fn main() {
     let args = match parse_args() {
@@ -95,8 +96,8 @@ fn main() {
     let mut baseline_rows = Vec::new();
     for (_, sql) in queries {
         let plan = plan_sql(sql, &baseline_catalog, &PlannerConfig::default()).expect("plan");
-        let m = run_engine(Engine::Hique, &plan, &baseline_catalog, None, false).expect("run");
-        baseline_rows.push(m.rows);
+        let result = hique_holistic::execute_plan(&plan, &baseline_catalog).expect("run");
+        baseline_rows.push(result.num_rows() as u64);
     }
 
     println!(
@@ -119,7 +120,7 @@ fn main() {
                     let mut best_ms = f64::INFINITY;
                     let mut measured = None;
                     for _ in 0..args.repeats {
-                        let m = run_engine(engine, &plan, &catalog, Some(&dsm), false)
+                        let m = measure(engine, &plan, &catalog, &dsm, false)
                             .unwrap_or_else(|e| panic!("{name} on {engine:?} failed: {e}"));
                         let ms = m.elapsed.as_secs_f64() * 1000.0;
                         if ms < best_ms {
@@ -137,7 +138,7 @@ fn main() {
                         "{name} on {engine:?}: peak {} pages > budget {budget}",
                         m.stats.peak_resident_pages
                     );
-                    if budget == tightest && engine == Engine::Hique {
+                    if budget == tightest && engine == Engine::Holistic {
                         tight_spills += m.stats.spilled_temporaries;
                     }
                     println!(

@@ -21,10 +21,9 @@
 
 use std::time::Instant;
 
-use hique_bench::runner::plan_sql;
 use hique_holistic::ExecOptions;
 use hique_par::available_threads;
-use hique_plan::PlannerConfig;
+use hique_plan::{plan_sql, PlannerConfig};
 use hique_storage::Catalog;
 use hique_vm::Tier;
 

@@ -11,9 +11,11 @@
 
 #![forbid(unsafe_code)]
 
-use hique_bench::runner::{bench_scale, plan_sql, render_profile_table, run_engine, Engine};
+use hique_bench::runner::{bench_scale, measure, render_profile_table};
 use hique_bench::workload::{agg_query_sql, agg_workload, join_query_sql, join_workload};
-use hique_plan::{AggAlgorithm, JoinAlgorithm, PlannerConfig};
+use hique_dsm::DsmDatabase;
+use hique_plan::{plan_sql, AggAlgorithm, JoinAlgorithm, PlannerConfig};
+use hique_server::Engine;
 
 fn main() {
     let profile = if cfg!(debug_assertions) {
@@ -24,11 +26,7 @@ fn main() {
     println!("Table II — effect of compiler optimization; this run: {profile}\n");
 
     let s = bench_scale();
-    let engines = [
-        Engine::GenericIterators,
-        Engine::OptimizedIterators,
-        Engine::Hique,
-    ];
+    let engines = [Engine::IterGeneric, Engine::IterOptimized, Engine::Holistic];
 
     // The four micro-benchmark queries of Figures 5 and 6, at reduced size.
     let join1 = join_workload((1_000.0 * s) as usize, (1_000.0 * s) as usize, 100).unwrap();
@@ -69,9 +67,10 @@ fn main() {
 
     for (name, catalog, sql, config, materialize) in cases {
         let plan = plan_sql(sql, catalog, &config).expect("plan");
+        let dsm = DsmDatabase::from_catalog(catalog).expect("dsm");
         let measurements: Vec<_> = engines
             .iter()
-            .map(|&e| run_engine(e, &plan, catalog, None, materialize).expect("run"))
+            .map(|&e| measure(e, &plan, catalog, &dsm, materialize).expect("run"))
             .collect();
         println!(
             "{}",

@@ -1,47 +1,15 @@
 //! Shared helpers for the experiment harness binaries and Criterion benches:
-//! planning a SQL query, running it on each engine, timing it and printing
-//! result tables in the shape the paper reports.
+//! running a plan on each engine, timing it and printing result tables in
+//! the shape the paper reports.
 
 use std::time::{Duration, Instant};
 
 use hique_dsm::DsmDatabase;
 use hique_holistic::ExecOptions;
-use hique_iter::ExecMode;
-use hique_plan::{plan_query, CatalogProvider, PhysicalPlan, PlannerConfig};
+use hique_plan::PhysicalPlan;
+use hique_server::{execute, Compiled, Engine};
 use hique_storage::Catalog;
-use hique_types::{ExecStats, QueryResult, Result};
-
-/// The engine configurations compared by the paper's micro-benchmarks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Engine {
-    /// Generic iterators (Volcano, fully generic field access).
-    GenericIterators,
-    /// Optimized iterators (Volcano, type-specialized predicates).
-    OptimizedIterators,
-    /// The DSM / column-at-a-time baseline (MonetDB-class).
-    Dsm,
-    /// HIQUE: holistic generated code.
-    Hique,
-}
-
-impl Engine {
-    /// Display label matching the paper's figures.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Engine::GenericIterators => "Generic Iterators",
-            Engine::OptimizedIterators => "Optimized Iterators",
-            Engine::Dsm => "MonetDB-class (DSM)",
-            Engine::Hique => "HIQUE",
-        }
-    }
-}
-
-/// Parse, analyze and optimize a SQL query against a catalog.
-pub fn plan_sql(sql: &str, catalog: &Catalog, config: &PlannerConfig) -> Result<PhysicalPlan> {
-    let parsed = hique_sql::parse_query(sql)?;
-    let bound = hique_sql::analyze(&parsed, &CatalogProvider::new(catalog))?;
-    plan_query(&bound, catalog, config)
-}
+use hique_types::{ExecStats, Result};
 
 /// One measured execution.
 #[derive(Debug, Clone)]
@@ -59,45 +27,32 @@ pub struct Measurement {
 
 /// Execute a plan on one engine and measure it.
 ///
-/// `materialize_output` mirrors the paper's methodology switch: the
-/// micro-benchmarks do not materialize query output.
-pub fn run_engine(
+/// Every artifact the engines run from — the generated kernel program and
+/// its bytecode — is built before the clock starts; `dsm` is the column
+/// decomposition of `catalog`.  `materialize_output` mirrors the
+/// paper's methodology switch: the micro-benchmarks do not materialize
+/// query output.
+pub fn measure(
     engine: Engine,
     plan: &PhysicalPlan,
     catalog: &Catalog,
-    dsm: Option<&DsmDatabase>,
+    dsm: &DsmDatabase,
     materialize_output: bool,
 ) -> Result<Measurement> {
-    let start = Instant::now();
-    let result: QueryResult = match engine {
-        Engine::GenericIterators => {
-            hique_iter::execute_plan_with(plan, catalog, ExecMode::Generic, materialize_output)?
-        }
-        Engine::OptimizedIterators => {
-            hique_iter::execute_plan_with(plan, catalog, ExecMode::Optimized, materialize_output)?
-        }
-        Engine::Dsm => {
-            let owned;
-            let db = match dsm {
-                Some(db) => db,
-                None => {
-                    owned = DsmDatabase::from_catalog(catalog)?;
-                    &owned
-                }
-            };
-            hique_dsm::execute_plan(plan, db)?
-        }
-        Engine::Hique => {
-            let generated = hique_holistic::generate(plan)?;
-            generated.execute_with(
-                catalog,
-                &ExecOptions {
-                    collect_rows: materialize_output,
-                    ..ExecOptions::default()
-                },
-            )?
-        }
+    let compiled = Compiled::new(plan, catalog)?;
+    let options = ExecOptions {
+        collect_rows: materialize_output,
+        ..ExecOptions::default()
     };
+    let start = Instant::now();
+    let result = execute(
+        engine,
+        &compiled.generated,
+        Some(&compiled.vm),
+        catalog,
+        dsm,
+        &options,
+    )?;
     let elapsed = start.elapsed();
     let rows = if result.rows.is_empty() {
         result.stats.rows_out
@@ -198,10 +153,12 @@ pub fn bench_scale() -> f64 {
 mod tests {
     use super::*;
     use crate::workload::{agg_workload, join_workload};
+    use hique_plan::{plan_sql, PlannerConfig};
 
     #[test]
     fn all_engines_agree_on_the_micro_join() {
         let catalog = join_workload(100, 500, 5).unwrap();
+        let dsm = DsmDatabase::from_catalog(&catalog).unwrap();
         let plan = plan_sql(
             crate::workload::join_query_sql(),
             &catalog,
@@ -209,13 +166,8 @@ mod tests {
         )
         .unwrap();
         let mut rows = Vec::new();
-        for engine in [
-            Engine::GenericIterators,
-            Engine::OptimizedIterators,
-            Engine::Dsm,
-            Engine::Hique,
-        ] {
-            let m = run_engine(engine, &plan, &catalog, None, true).unwrap();
+        for engine in Engine::ALL {
+            let m = measure(engine, &plan, &catalog, &dsm, true).unwrap();
             rows.push(m.rows);
         }
         assert!(rows.iter().all(|&r| r == rows[0]));
@@ -231,9 +183,10 @@ mod tests {
             &PlannerConfig::default(),
         )
         .unwrap();
-        let ms: Vec<Measurement> = [Engine::GenericIterators, Engine::Hique]
+        let dsm = DsmDatabase::from_catalog(&catalog).unwrap();
+        let ms: Vec<Measurement> = [Engine::IterGeneric, Engine::Holistic]
             .iter()
-            .map(|&e| run_engine(e, &plan, &catalog, None, true).unwrap())
+            .map(|&e| measure(e, &plan, &catalog, &dsm, true).unwrap())
             .collect();
         let table = render_profile_table("test", &ms);
         assert!(table.contains("Generic Iterators"));

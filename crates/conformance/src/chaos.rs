@@ -1,7 +1,7 @@
 //! The chaos lane: differential conformance under injected storage faults
 //! and cooperative cancellation.
 //!
-//! The plain differential suite ([`crate::runner`]) checks that all four
+//! The plain differential suite ([`crate::runner`]) checks that all five
 //! engine modes agree on the *happy path*.  This module checks the paper's
 //! implicit robustness contract on the unhappy paths: with a seeded
 //! [`FaultPlan`] installed under the buffer pool, or a cancellation deadline
@@ -29,12 +29,15 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
+use hique_holistic::ExecOptions;
+use hique_plan::plan_sql;
+use hique_server::{Compiled, Engine};
 use hique_storage::FaultPlan;
 use hique_types::{CancelToken, HiqueError};
 
 use crate::canon::{canonicalize, compare, CanonicalResult};
 use crate::genquery::QueryGenerator;
-use crate::runner::{plan_sql, run_engine, run_engine_cancellable, EngineId, Fixture};
+use crate::runner::Fixture;
 
 /// Spill budget (in pool pages) forced onto every chaos query's planner
 /// config, so spill paths (the fault surface for writes and allocations) are
@@ -217,8 +220,10 @@ pub fn run_chaos_suite(fixture: &Fixture, base_seed: u64, count: usize) -> Chaos
                 .clone()
                 .with_memory_budget_pages(CHAOS_BUDGET_PAGES)
                 .with_threads(threads);
-            let plan = match plan_sql(&query.sql, &fixture.catalog, &config) {
-                Ok(plan) => plan,
+            let compiled = match plan_sql(&query.sql, &fixture.catalog, &config)
+                .and_then(|plan| Compiled::new(&plan, &fixture.catalog))
+            {
+                Ok(compiled) => compiled,
                 Err(e) => {
                     report.failures.push(ChaosFailure {
                         seed: query.seed,
@@ -234,29 +239,29 @@ pub fn run_chaos_suite(fixture: &Fixture, base_seed: u64, count: usize) -> Chaos
 
             // Fault-free baseline for this plan; a baseline error is a plain
             // engine bug, not chaos.
-            let baseline =
-                match run_engine(EngineId::IterGeneric, &plan, &fixture.catalog, &fixture.dsm) {
-                    Ok(result) => canonicalize(&result),
-                    Err(e) => {
-                        report.failures.push(ChaosFailure {
-                            seed: query.seed,
-                            engine: "iter-generic",
-                            threads,
-                            mode: "recovery",
-                            detail: format!("fault-free baseline failed: {e}"),
-                            sql: query.sql.clone(),
-                        });
-                        continue;
-                    }
-                };
+            let defaults = ExecOptions::default();
+            let baseline = match fixture.execute(Engine::IterGeneric, &compiled, &defaults) {
+                Ok(result) => canonicalize(&result),
+                Err(e) => {
+                    report.failures.push(ChaosFailure {
+                        seed: query.seed,
+                        engine: "iter-generic",
+                        threads,
+                        mode: "recovery",
+                        detail: format!("fault-free baseline failed: {e}"),
+                        sql: query.sql.clone(),
+                    });
+                    continue;
+                }
+            };
 
-            for (engine_idx, engine) in EngineId::ALL.into_iter().enumerate() {
+            for (engine_idx, engine) in Engine::ALL.into_iter().enumerate() {
                 let run_seed = mix(query.seed ^ ((engine_idx as u64) << 32) ^ threads as u64);
 
                 // Schedule 1: a seeded storage fault under the pool.
                 let fault_plan = Arc::new(FaultPlan::from_seed(run_seed));
                 storage.install_fault_plan(Some(Arc::clone(&fault_plan)));
-                let result = run_engine(engine, &plan, &fixture.catalog, &fixture.dsm);
+                let result = fixture.execute(engine, &compiled, &defaults);
                 storage.install_fault_plan(None);
                 report.runs += 1;
                 report.faults_fired += fault_plan.injected();
@@ -266,7 +271,7 @@ pub fn run_chaos_suite(fixture: &Fixture, base_seed: u64, count: usize) -> Chaos
                     RunOutcome::Cancelled => unreachable!("fault schedule cannot cancel"),
                     RunOutcome::Violation(detail) => report.failures.push(ChaosFailure {
                         seed: query.seed,
-                        engine: engine.label(),
+                        engine: engine.name(),
                         threads,
                         mode: "fault",
                         detail,
@@ -276,7 +281,7 @@ pub fn run_chaos_suite(fixture: &Fixture, base_seed: u64, count: usize) -> Chaos
                 if let Some(detail) = leak_detail(fixture) {
                     report.failures.push(ChaosFailure {
                         seed: query.seed,
-                        engine: engine.label(),
+                        engine: engine.name(),
                         threads,
                         mode: "leak",
                         detail,
@@ -288,9 +293,11 @@ pub fn run_chaos_suite(fixture: &Fixture, base_seed: u64, count: usize) -> Chaos
                 // always fires, the rest race the query, and both outcomes
                 // are legal).
                 let deadline = Duration::from_millis((run_seed >> 16) % 3);
-                let cancel = CancelToken::with_deadline(deadline);
-                let result =
-                    run_engine_cancellable(engine, &plan, &fixture.catalog, &fixture.dsm, cancel);
+                let options = ExecOptions {
+                    cancel: CancelToken::with_deadline(deadline),
+                    ..ExecOptions::default()
+                };
+                let result = fixture.execute(engine, &compiled, &options);
                 report.runs += 1;
                 match classify(result, &baseline, true) {
                     RunOutcome::Matched => report.matched += 1,
@@ -298,7 +305,7 @@ pub fn run_chaos_suite(fixture: &Fixture, base_seed: u64, count: usize) -> Chaos
                     RunOutcome::InjectedError => unreachable!("no fault plan installed"),
                     RunOutcome::Violation(detail) => report.failures.push(ChaosFailure {
                         seed: query.seed,
-                        engine: engine.label(),
+                        engine: engine.name(),
                         threads,
                         mode: "cancel",
                         detail,
@@ -308,7 +315,7 @@ pub fn run_chaos_suite(fixture: &Fixture, base_seed: u64, count: usize) -> Chaos
                 if let Some(detail) = leak_detail(fixture) {
                     report.failures.push(ChaosFailure {
                         seed: query.seed,
-                        engine: engine.label(),
+                        engine: engine.name(),
                         threads,
                         mode: "leak",
                         detail,
@@ -319,7 +326,7 @@ pub fn run_chaos_suite(fixture: &Fixture, base_seed: u64, count: usize) -> Chaos
 
             // Recovery probe: after the whole fault/cancel battery, the pool
             // must still serve a clean holistic run that matches baseline.
-            let recovered = run_engine(EngineId::Holistic, &plan, &fixture.catalog, &fixture.dsm);
+            let recovered = fixture.execute(Engine::Holistic, &compiled, &defaults);
             report.runs += 1;
             match classify(recovered, &baseline, false) {
                 RunOutcome::Matched => report.matched += 1,

@@ -3,7 +3,7 @@
 //! Cross-engine differential test harness for the HIQUE reproduction.
 //!
 //! The paper's evaluation only means something if the execution models
-//! — Volcano iterators ([`hique_iter`]), column-at-a-time DSM
+//! — Volcano iterators (`hique_iter`), column-at-a-time DSM
 //! ([`hique_dsm`]), holistic generated kernels ([`hique_holistic`]) and the
 //! query-time-compiled bytecode VM ([`hique_vm`]) — compute *identical*
 //! answers for the same physical plan. This crate mechanizes that property:
@@ -52,5 +52,5 @@ pub use genquery::{query_for_seed, replay_seed, scan_query_for_seed, QueryGenera
 pub use mutate::{run_mutation_suite, MutationReport, MIN_REJECTION_RATE};
 pub use planquality::{measure_actuals, q_error, CardSample, QualityReport};
 pub use runner::{
-    run_suite, run_suite_with_budget, CheckOutcome, Divergence, EngineId, Fixture, SuiteReport,
+    run_suite, run_suite_with_budget, CheckOutcome, Divergence, Fixture, SuiteReport,
 };

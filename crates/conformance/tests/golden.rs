@@ -11,9 +11,10 @@
 
 use std::path::PathBuf;
 
-use hique_conformance::runner::{plan_sql, run_engine, EngineId, Fixture};
-use hique_conformance::{canonicalize, compare};
-use hique_plan::PlannerConfig;
+use hique_conformance::{canonicalize, compare, Fixture};
+use hique_holistic::ExecOptions;
+use hique_plan::{plan_sql, PlannerConfig};
+use hique_server::{Compiled, Engine};
 
 const SF: f64 = 0.004;
 
@@ -25,11 +26,18 @@ fn golden_path(name: &str) -> PathBuf {
 
 fn check_query(fixture: &Fixture, name: &str, sql: &str) {
     let plan = plan_sql(sql, &fixture.catalog, &PlannerConfig::default()).unwrap();
+    let compiled = Compiled::new(&plan, &fixture.catalog).unwrap();
+    let run = |engine| {
+        canonicalize(
+            &fixture
+                .execute(engine, &compiled, &ExecOptions::default())
+                .unwrap(),
+        )
+    };
     let path = golden_path(name);
 
     if std::env::var_os("HIQUE_BLESS").is_some() {
-        let result = run_engine(EngineId::Holistic, &plan, &fixture.catalog, &fixture.dsm).unwrap();
-        std::fs::write(&path, canonicalize(&result).to_text()).unwrap();
+        std::fs::write(&path, run(Engine::Holistic).to_text()).unwrap();
     }
 
     let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
@@ -40,24 +48,20 @@ fn check_query(fixture: &Fixture, name: &str, sql: &str) {
     // order, which near a {:.4} rounding boundary could flip a printed
     // digit — so they are held to the harness's tolerant comparison against
     // the holistic result instead of to the exact bytes.
-    let holistic = canonicalize(
-        &run_engine(EngineId::Holistic, &plan, &fixture.catalog, &fixture.dsm).unwrap(),
-    );
+    let holistic = run(Engine::Holistic);
     assert_eq!(
         holistic.to_text(),
         golden,
         "{name} on holistic no longer matches {path:?}"
     );
-    for engine in EngineId::ALL {
-        if engine == EngineId::Holistic {
+    for engine in Engine::ALL {
+        if engine == Engine::Holistic {
             continue;
         }
-        let canonical =
-            canonicalize(&run_engine(engine, &plan, &fixture.catalog, &fixture.dsm).unwrap());
-        if let Err(mismatch) = compare(&canonical, &holistic) {
+        if let Err(mismatch) = compare(&run(engine), &holistic) {
             panic!(
                 "{name} on {} diverges from golden: {mismatch}",
-                engine.label()
+                engine.name()
             );
         }
     }

@@ -3,13 +3,13 @@
 //! The partition-parallel executor promises that every generated query
 //! produces identical canonicalized results whatever the pool width.  This
 //! suite plans each random query twice — once serial, once with four
-//! workers — and runs *all five engine modes* under both plans: the
-//! iterator and DSM engines ignore the knob (a trivial identity that guards
-//! against the knob leaking into planning), while the holistic engine
-//! exercises the parallel staging, join and aggregation paths for real.
+//! workers — and runs *all five engine modes* under both plans, each
+//! fanning its partition-parallel operators out over the plan's workers.
 
-use hique_conformance::{canonicalize, compare, EngineId, Fixture};
-use hique_conformance::{runner::plan_sql, runner::run_engine, QueryGenerator};
+use hique_conformance::{canonicalize, compare, Fixture, QueryGenerator};
+use hique_holistic::ExecOptions;
+use hique_plan::plan_sql;
+use hique_server::{Compiled, Engine};
 
 const SF: f64 = 0.002;
 const SUITE_SEED: u64 = 0x9A_11E1; // fixed so failures are reproducible
@@ -30,22 +30,26 @@ fn four_workers_agree_with_serial_on_every_engine_mode() {
             .unwrap_or_else(|e| panic!("planning failed (seed {:#x}): {e}", query.seed));
         assert_eq!(serial_plan.threads, 1);
         assert_eq!(parallel_plan.threads, 4);
+        let serial_plan = Compiled::new(&serial_plan, &fixture.catalog).unwrap();
+        let parallel_plan = Compiled::new(&parallel_plan, &fixture.catalog).unwrap();
 
-        for engine in EngineId::ALL {
-            let serial = run_engine(engine, &serial_plan, &fixture.catalog, &fixture.dsm)
+        for engine in Engine::ALL {
+            let serial = fixture
+                .execute(engine, &serial_plan, &ExecOptions::default())
                 .unwrap_or_else(|e| {
                     panic!(
                         "{} failed serial (seed {:#x}): {e}\n  sql: {}",
-                        engine.label(),
+                        engine.name(),
                         query.seed,
                         query.sql
                     )
                 });
-            let parallel = run_engine(engine, &parallel_plan, &fixture.catalog, &fixture.dsm)
+            let parallel = fixture
+                .execute(engine, &parallel_plan, &ExecOptions::default())
                 .unwrap_or_else(|e| {
                     panic!(
                         "{} failed with 4 workers (seed {:#x}): {e}\n  sql: {}",
-                        engine.label(),
+                        engine.name(),
                         query.seed,
                         query.sql
                     )
@@ -53,12 +57,12 @@ fn four_workers_agree_with_serial_on_every_engine_mode() {
             if let Err(mismatch) = compare(&canonicalize(&parallel), &canonicalize(&serial)) {
                 panic!(
                     "{}: threads=4 diverged from threads=1: {mismatch}\n  seed: {:#x}\n  sql: {}",
-                    engine.label(),
+                    engine.name(),
                     query.seed,
                     query.sql
                 );
             }
-            if engine == EngineId::Holistic {
+            if engine == Engine::Holistic {
                 // The stats contract is stronger than result equality:
                 // per-worker counters must sum exactly to the serial counts.
                 assert_eq!(

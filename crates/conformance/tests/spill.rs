@@ -13,9 +13,10 @@
 //! report spilled temporaries (whole-partition reload would have blown the
 //! pool's frame budget long before these queries finished).
 
-use hique_conformance::{canonicalize, compare, EngineId, Fixture};
-use hique_conformance::{runner::plan_sql, runner::run_engine, QueryGenerator};
-use hique_plan::PlannerConfig;
+use hique_conformance::{canonicalize, compare, Fixture, QueryGenerator};
+use hique_holistic::ExecOptions;
+use hique_plan::{plan_sql, PlannerConfig};
+use hique_server::{Compiled, Engine};
 
 const SF: f64 = 0.01;
 /// Frames in the pool — the SF 0.01 working set is thousands of pages.
@@ -59,13 +60,10 @@ fn tight_budget_matches_unbounded_results_on_every_engine_mode() {
             .with_memory_budget_pages(BUDGET_PAGES);
         let mem_plan = plan_sql(&query.sql, &unbounded.catalog, &base_config)
             .unwrap_or_else(|e| panic!("planning failed (seed {:#x}): {e}", query.seed));
-        let baseline = run_engine(
-            EngineId::IterGeneric,
-            &mem_plan,
-            &unbounded.catalog,
-            &unbounded.dsm,
-        )
-        .unwrap_or_else(|e| panic!("unbounded baseline failed (seed {:#x}): {e}", query.seed));
+        let mem_compiled = Compiled::new(&mem_plan, &unbounded.catalog).unwrap();
+        let baseline = unbounded
+            .execute(Engine::IterGeneric, &mem_compiled, &ExecOptions::default())
+            .unwrap_or_else(|e| panic!("unbounded baseline failed (seed {:#x}): {e}", query.seed));
         let canonical_baseline = canonicalize(&baseline);
         nonempty += usize::from(canonical_baseline.num_rows() > 0);
 
@@ -87,13 +85,15 @@ fn tight_budget_matches_unbounded_results_on_every_engine_mode() {
                     query.seed
                 );
                 assert_eq!(paged_plan.memory_budget_pages, budget);
+                let compiled = Compiled::new(&paged_plan, &paged.catalog).unwrap();
 
-                for engine in EngineId::ALL {
-                    let result = run_engine(engine, &paged_plan, &paged.catalog, &paged.dsm)
+                for engine in Engine::ALL {
+                    let result = paged
+                        .execute(engine, &compiled, &ExecOptions::default())
                         .unwrap_or_else(|e| {
                             panic!(
                                 "{} failed (seed {:#x}, threads {threads}, budget {budget}): {e}\n  sql: {}",
-                                engine.label(),
+                                engine.name(),
                                 query.seed,
                                 query.sql
                             )
@@ -102,7 +102,7 @@ fn tight_budget_matches_unbounded_results_on_every_engine_mode() {
                         panic!(
                             "{}: budget {budget} pages diverged from unbounded: {mismatch}\n  \
                              seed: {:#x}\n  threads: {threads}\n  sql: {}",
-                            engine.label(),
+                            engine.name(),
                             query.seed,
                             query.sql
                         );
@@ -110,7 +110,7 @@ fn tight_budget_matches_unbounded_results_on_every_engine_mode() {
                     // Paged executions report their pool traffic; the
                     // holistic engine always scans base pages through the
                     // pool.
-                    if engine == EngineId::Holistic {
+                    if engine == Engine::Holistic {
                         let io = result.stats.io;
                         assert!(
                             io.pool_hits + io.pool_misses > 0,
@@ -125,7 +125,7 @@ fn tight_budget_matches_unbounded_results_on_every_engine_mode() {
                         assert!(
                             result.stats.peak_resident_pages <= BUDGET_PAGES as u64,
                             "{}: peak {} pages > budget {BUDGET_PAGES} (seed {:#x})",
-                            engine.label(),
+                            engine.name(),
                             result.stats.peak_resident_pages,
                             query.seed
                         );
@@ -170,6 +170,7 @@ fn temp_space_claims_released_between_sequential_queries() {
                order by o_orderpriority";
     let config = PlannerConfig::default().with_memory_budget_pages(BUDGET_PAGES);
     let plan = plan_sql(sql, &paged.catalog, &config).unwrap();
+    let compiled = Compiled::new(&plan, &paged.catalog).unwrap();
 
     let spill_dir = runtime
         .temp()
@@ -194,7 +195,9 @@ fn temp_space_claims_released_between_sequential_queries() {
 
     let mut results = Vec::new();
     for _ in 0..3 {
-        let result = run_engine(EngineId::Holistic, &plan, &paged.catalog, &paged.dsm).unwrap();
+        let result = paged
+            .execute(Engine::Holistic, &compiled, &ExecOptions::default())
+            .unwrap();
         assert!(
             result.stats.spilled_temporaries > 0,
             "the probe query must actually spill for this test to mean anything"
@@ -216,4 +219,63 @@ fn temp_space_claims_released_between_sequential_queries() {
     }
     assert_eq!(results[0], results[1]);
     assert_eq!(results[1], results[2]);
+}
+
+/// `ExecOptions` overrides reach every engine through the one dispatch:
+/// two workers and a tight budget on a plan configured for neither return
+/// the defaults' rows, spill, stay within the budget and leave nothing
+/// claimed or pinned.
+#[test]
+fn exec_option_overrides_reach_every_engine() {
+    let paged = Fixture::generate_paged(SF, BUDGET_PAGES).unwrap();
+    let temp = paged.catalog.storage().unwrap().temp();
+    let pool = paged.catalog.buffer_pool().unwrap();
+    let sql = "select o_orderpriority, count(*) as n from orders, lineitem \
+               where o_orderkey = l_orderkey group by o_orderpriority \
+               order by o_orderpriority";
+    let plan = plan_sql(sql, &paged.catalog, &PlannerConfig::default()).unwrap();
+    assert_eq!((plan.threads, plan.memory_budget_pages), (1, 0));
+    let compiled = Compiled::new(&plan, &paged.catalog).unwrap();
+    let overrides = ExecOptions {
+        threads: 2,
+        memory_budget_pages: BUDGET_PAGES,
+        ..ExecOptions::default()
+    };
+    for engine in Engine::ALL {
+        let defaults = paged
+            .execute(engine, &compiled, &ExecOptions::default())
+            .unwrap();
+        let overridden = paged.execute(engine, &compiled, &overrides).unwrap();
+        assert!(defaults.num_rows() > 0);
+        if let Err(mismatch) = compare(&canonicalize(&overridden), &canonicalize(&defaults)) {
+            panic!(
+                "{}: overrides changed the result: {mismatch}",
+                engine.name()
+            );
+        }
+        assert_eq!(defaults.stats.spilled_temporaries, 0, "{}", engine.name());
+        assert!(
+            overridden.stats.spilled_temporaries > 0,
+            "{}: the budget override did not reach the engine",
+            engine.name()
+        );
+        assert!(
+            overridden.stats.peak_resident_pages <= BUDGET_PAGES as u64,
+            "{}: peak {} pages > budget {BUDGET_PAGES}",
+            engine.name(),
+            overridden.stats.peak_resident_pages
+        );
+        assert_eq!(
+            temp.active_claims(),
+            0,
+            "{}: spill claim leaked",
+            engine.name()
+        );
+        assert_eq!(
+            pool.pinned_frames(),
+            0,
+            "{}: frames left pinned",
+            engine.name()
+        );
+    }
 }

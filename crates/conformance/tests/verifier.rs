@@ -9,14 +9,16 @@
 //! 2. **The mutation gate** — seeded single-op corruptions of those same
 //!    programs are caught statically (≥ 95%) or fail typed at runtime;
 //!    none panics, none returns rows.
-//! 3. **Degradation leaks nothing** — when the VM refuses a plan at
-//!    execution time (nested-loops degradation), the staging work it did
-//!    before refusing must release every spill claim and pinned frame.
+//! 3. **Degradation leaks nothing** — a plan forced onto nested loops runs
+//!    on the VM with holistic's answer, and the spilled staging work
+//!    releases every spill claim and pinned frame.
 
-use hique_conformance::runner::plan_sql;
-use hique_conformance::{run_mutation_suite, Fixture, QueryGenerator, MIN_REJECTION_RATE};
-use hique_plan::{JoinAlgorithm, PlannerConfig};
-use hique_types::HiqueError;
+use hique_conformance::{
+    canonicalize, compare, run_mutation_suite, Fixture, QueryGenerator, MIN_REJECTION_RATE,
+};
+use hique_holistic::ExecOptions;
+use hique_plan::{plan_sql, JoinAlgorithm, PlannerConfig};
+use hique_server::{Compiled, Engine};
 use hique_vm::CompileMode;
 
 const SF: f64 = 0.002;
@@ -90,68 +92,49 @@ fn mutation_gate_holds_on_the_corpus() {
 #[test]
 fn nested_loops_degradation_releases_spills_and_pins() {
     // A paged fixture with a plan budget far below the join's staging
-    // footprint: the VM stages (and spills) both inputs before discovering
-    // the nested-loops step it cannot run.  The refusal must be typed and
-    // must leave the temp space and buffer pool exactly as it found them.
+    // footprint: the VM stages (and spills) both inputs, then runs the
+    // forced nested-loops step through the holistic engine's kernel.  It
+    // must answer exactly as holistic does and leave the temp space and
+    // buffer pool exactly as it found them.
     const POOL_PAGES: usize = 64;
     const PLAN_BUDGET_PAGES: usize = 16;
     let fixture = Fixture::generate_paged(0.01, POOL_PAGES).unwrap();
     let sql = "select o.o_orderkey, c.c_name from customer c, orders o \
                where c.c_custkey = o.o_custkey and o.o_totalprice < 100000";
+    let config = PlannerConfig::default()
+        .with_join_algorithm(JoinAlgorithm::NestedLoops)
+        .with_memory_budget_pages(PLAN_BUDGET_PAGES);
+    let plan = plan_sql(sql, &fixture.catalog, &config).unwrap();
+    assert_eq!(plan.joins[0].algorithm, JoinAlgorithm::NestedLoops);
+    let compiled = Compiled::new(&plan, &fixture.catalog).unwrap();
+    let options = ExecOptions::default();
 
-    // Non-vacuity: the same query under the same budget with the default
-    // join algorithm runs to completion *and spills* — so the degraded run
-    // below really did have claims at stake when it bailed out.
-    let hash_config = PlannerConfig::default().with_memory_budget_pages(PLAN_BUDGET_PAGES);
-    let hash_plan = plan_sql(sql, &fixture.catalog, &hash_config).unwrap();
-    let generated = hique_holistic::generate(&hash_plan).unwrap();
-    let program =
-        hique_vm::compile(&generated, &fixture.catalog, CompileMode::Specialized).unwrap();
-    let result = program
-        .execute(&generated, &fixture.catalog, &Default::default())
+    let holistic = fixture
+        .execute(Engine::Holistic, &compiled, &options)
         .unwrap();
+    let vm = fixture.execute(Engine::Vm, &compiled, &options).unwrap();
+    assert!(holistic.num_rows() > 0, "the probe query must return rows");
+    if let Err(mismatch) = compare(&canonicalize(&vm), &canonicalize(&holistic)) {
+        panic!("vm diverged from holistic on the forced nested-loops plan: {mismatch}");
+    }
+    // Non-vacuity: the budget forced staging spills, so the leak
+    // assertions below had claims and pins at stake.
     assert!(
-        result.stats.spilled_temporaries > 0,
+        vm.stats.spilled_temporaries > 0,
         "the {PLAN_BUDGET_PAGES}-page budget did not force staging spills; \
          the leak assertions below would be vacuous"
     );
 
-    let temp = fixture.catalog.storage().unwrap().temp().clone();
-    let pool = fixture.catalog.buffer_pool().unwrap().clone();
-    assert_eq!(temp.active_claims(), 0, "hash-join run leaked spill claims");
-    assert_eq!(
-        pool.pinned_frames(),
-        0,
-        "hash-join run leaked pinned frames"
-    );
-
-    // The degraded plan: same query, nested loops forced.  Compilation and
-    // verification succeed (the bytecode is well-formed; the *executor*
-    // refuses the algorithm), so the error surfaces mid-execution, after
-    // staging has spilled.
-    let nl_config = PlannerConfig::default()
-        .with_join_algorithm(JoinAlgorithm::NestedLoops)
-        .with_memory_budget_pages(PLAN_BUDGET_PAGES);
-    let nl_plan = plan_sql(sql, &fixture.catalog, &nl_config).unwrap();
-    assert_eq!(nl_plan.joins[0].algorithm, JoinAlgorithm::NestedLoops);
-    let nl_generated = hique_holistic::generate(&nl_plan).unwrap();
-    let nl_program =
-        hique_vm::compile(&nl_generated, &fixture.catalog, CompileMode::Specialized).unwrap();
-    let err = nl_program
-        .execute(&nl_generated, &fixture.catalog, &Default::default())
-        .expect_err("the VM must refuse nested-loops joins");
-    assert!(
-        matches!(err, HiqueError::Unsupported(_)),
-        "degradation must be a typed Unsupported error, got: {err}"
-    );
+    let temp = fixture.catalog.storage().unwrap().temp();
+    let pool = fixture.catalog.buffer_pool().unwrap();
     assert_eq!(
         temp.active_claims(),
         0,
-        "nested-loops degradation leaked spill claims"
+        "nested-loops run leaked spill claims"
     );
     assert_eq!(
         pool.pinned_frames(),
         0,
-        "nested-loops degradation leaked pinned frames"
+        "nested-loops run leaked pinned frames"
     );
 }

@@ -8,12 +8,12 @@
 
 use std::time::Instant;
 
-use hique_par::{chunk_ranges, ScopedPool};
-use hique_pipeline::SpillContext;
+use hique_par::chunk_ranges;
+use hique_pipeline::ExecFrame;
 use hique_plan::{AggAlgorithm, JoinAlgorithm, StagingStrategy};
 use hique_storage::Catalog;
 use hique_types::{
-    result::finalize_rows, CancelToken, ExecStats, HiqueError, PhaseTimings, QueryResult, Result,
+    result::finalize_rows, ExecOptions, ExecStats, HiqueError, PhaseTimings, QueryResult, Result,
     Row, Value,
 };
 
@@ -26,43 +26,6 @@ use crate::kernel::CompiledKey;
 use crate::relation::StagedRelation;
 use crate::spill::StagedSlot;
 use crate::staging::{stage_table_cancellable, StagedInput};
-
-/// Execution options.
-#[derive(Debug, Clone)]
-pub struct ExecOptions {
-    /// When `false`, the final result rows are not materialized — the
-    /// executor only counts them (`stats.rows_out`), mirroring the paper's
-    /// methodology of not materializing query output in the
-    /// micro-benchmarks.  Aggregate results (a handful of groups) are always
-    /// materialized.
-    pub collect_rows: bool,
-    /// Worker threads for partition-parallel execution; `0` inherits the
-    /// plan's configured count ([`hique_plan::PlannerConfig::threads`]).
-    /// Every thread count produces the same result for every query
-    /// (DESIGN.md §7).
-    pub threads: usize,
-    /// Memory budget in buffer-pool pages; `0` inherits the plan's
-    /// configured budget ([`hique_plan::PlannerConfig::memory_budget_pages`]).
-    /// Effective only on a catalog running in paged mode: staged inputs and
-    /// join temporaries above a fraction of the budget are written through
-    /// the catalog's buffer pool and reloaded on use (DESIGN.md §9).
-    pub memory_budget_pages: usize,
-    /// Cooperative cancellation token, polled at page-granularity points
-    /// (heap-scan pages, join steps, partition-stream pulls, spill-admission
-    /// waits).  The default disabled token never fires (DESIGN.md §12).
-    pub cancel: CancelToken,
-}
-
-impl Default for ExecOptions {
-    fn default() -> Self {
-        ExecOptions {
-            collect_rows: true,
-            threads: 0,
-            memory_budget_pages: 0,
-            cancel: CancelToken::disabled(),
-        }
-    }
-}
 
 /// A sink receiving final (non-aggregated) output tuples.
 enum OutputSink<'a> {
@@ -118,38 +81,20 @@ pub fn execute(
     let plan = &generated.plan;
     let mut stats = ExecStats::new();
     let mut timings = PhaseTimings::new();
-    // Partition-parallel execution: `options.threads` overrides the plan's
-    // configured worker count; both default to 1 (serial).
-    let pool = ScopedPool::new(if options.threads == 0 {
-        plan.threads
-    } else {
-        options.threads
-    });
-    // Memory budget: staged inputs and join temporaries spill through the
-    // catalog's buffer pool once a budget is set and the catalog runs in
-    // paged mode.  The spill decision depends only on relation sizes, so
-    // results (and work counters) are identical for every budget.
-    let budget_pages = if options.memory_budget_pages == 0 {
-        plan.memory_budget_pages
-    } else {
-        options.memory_budget_pages
-    };
+    // Partition-parallel execution and the memory budget: `options`
+    // overrides the plan's configuration.  Staged inputs and join
+    // temporaries spill through the catalog's buffer pool once a budget is
+    // set and the catalog runs in paged mode.  The spill decision depends
+    // only on relation sizes, so results (and work counters) are identical
+    // for every budget.
+    let frame = ExecFrame::open(
+        plan,
+        options,
+        catalog.storage().map(|s| (s.pool(), s.temp())),
+    )?;
+    let pool = frame.workers();
+    let spill = frame.spill();
     let cancel = &options.cancel;
-    let spill_ctx: Option<SpillContext> = match (budget_pages, catalog.storage()) {
-        (pages, Some(runtime)) if pages > 0 => Some(SpillContext::acquire_cancellable(
-            runtime.temp(),
-            pages,
-            cancel.clone(),
-        )?),
-        _ => None,
-    };
-    let spill = spill_ctx.as_ref();
-    let io_base = catalog.pool_stats();
-    let faults_base = catalog.faults_injected();
-    // Per-execution residency window: peak_resident_pages reports this
-    // run's high-water, not the pool's lifetime maximum — and concurrent
-    // executions each hold their own window.
-    let peak_window = catalog.buffer_pool().map(|p| p.begin_peak_window());
 
     // ---- Staging -----------------------------------------------------------
     let t0 = Instant::now();
@@ -521,23 +466,7 @@ pub fn execute(
     }
     timings.record("output", t4.elapsed());
 
-    // Buffer-pool traffic of this execution (zero on memory-resident
-    // catalogs): base-page fetches plus temporary-table spills/reloads.
-    stats.io = catalog.pool_stats().since(&io_base);
-    if let Some(ctx) = &spill_ctx {
-        stats.spilled_temporaries = ctx.spill_count();
-        stats.spill_claim_denied = ctx.claim_denied();
-        stats.spill_consumer_peak_pages = ctx.meter().peak() as u64;
-    }
-    stats.peak_resident_pages = peak_window.map(|w| w.end() as u64).unwrap_or(0);
-    stats.faults_injected = catalog.faults_injected().saturating_sub(faults_base);
-
-    Ok(QueryResult {
-        schema: plan.output_schema.clone(),
-        rows,
-        stats,
-        timings,
-    })
+    Ok(frame.finish(plan, rows, stats, timings))
 }
 
 /// Concatenate one record per team member into `buf` (sized to the joined
@@ -555,8 +484,9 @@ fn concat_records(records: &[&[u8]], buf: &mut [u8]) {
 mod tests {
     use super::*;
     use crate::generator::generate;
-    use hique_plan::{plan_query, CatalogProvider, PlannerConfig};
-    use hique_types::{Column, DataType, Schema};
+    use hique_pipeline::SpillContext;
+    use hique_plan::{plan_sql, PlannerConfig};
+    use hique_types::{CancelToken, Column, DataType, Schema};
     use std::sync::Arc;
 
     fn catalog() -> Catalog {
@@ -618,16 +548,12 @@ mod tests {
     }
 
     fn run(sql: &str, cat: &Catalog, config: &PlannerConfig) -> QueryResult {
-        let q = hique_sql::parse_query(sql).unwrap();
-        let bound = hique_sql::analyze(&q, &CatalogProvider::new(cat)).unwrap();
-        let plan = plan_query(&bound, cat, config).unwrap();
+        let plan = plan_sql(sql, cat, config).unwrap();
         generate(&plan).unwrap().execute(cat).unwrap()
     }
 
     fn run_iter(sql: &str, cat: &Catalog, config: &PlannerConfig) -> QueryResult {
-        let q = hique_sql::parse_query(sql).unwrap();
-        let bound = hique_sql::analyze(&q, &CatalogProvider::new(cat)).unwrap();
-        let plan = plan_query(&bound, cat, config).unwrap();
+        let plan = plan_sql(sql, cat, config).unwrap();
         hique_iter::execute_plan(&plan, cat, hique_iter::ExecMode::Optimized).unwrap()
     }
 
@@ -695,9 +621,12 @@ mod tests {
     #[test]
     fn count_only_execution_skips_row_materialization() {
         let cat = catalog();
-        let q = hique_sql::parse_query("select r.v, s.w from r, s where r.k = s.k").unwrap();
-        let bound = hique_sql::analyze(&q, &CatalogProvider::new(&cat)).unwrap();
-        let plan = plan_query(&bound, &cat, &PlannerConfig::default()).unwrap();
+        let plan = plan_sql(
+            "select r.v, s.w from r, s where r.k = s.k",
+            &cat,
+            &PlannerConfig::default(),
+        )
+        .unwrap();
         let generated = generate(&plan).unwrap();
         let counted = generated
             .execute_with(
@@ -764,9 +693,12 @@ mod tests {
     #[test]
     fn exec_options_threads_override_the_plan() {
         let cat = catalog();
-        let q = hique_sql::parse_query("select r.v, s.w from r, s where r.k = s.k").unwrap();
-        let bound = hique_sql::analyze(&q, &CatalogProvider::new(&cat)).unwrap();
-        let plan = plan_query(&bound, &cat, &PlannerConfig::default().with_threads(4)).unwrap();
+        let plan = plan_sql(
+            "select r.v, s.w from r, s where r.k = s.k",
+            &cat,
+            &PlannerConfig::default().with_threads(4),
+        )
+        .unwrap();
         assert_eq!(plan.threads, 4);
         let generated = generate(&plan).unwrap();
         // Inherit the plan's 4 workers, then override back down to 1: both
@@ -975,9 +907,12 @@ mod tests {
     #[test]
     fn cancelled_execution_surfaces_a_typed_error_not_a_panic() {
         let cat = catalog();
-        let q = hique_sql::parse_query("select r.v, s.w from r, s where r.k = s.k").unwrap();
-        let bound = hique_sql::analyze(&q, &CatalogProvider::new(&cat)).unwrap();
-        let plan = plan_query(&bound, &cat, &PlannerConfig::default()).unwrap();
+        let plan = plan_sql(
+            "select r.v, s.w from r, s where r.k = s.k",
+            &cat,
+            &PlannerConfig::default(),
+        )
+        .unwrap();
         let generated = generate(&plan).unwrap();
         // Pre-cancelled token: the execution stops at the first check point.
         let cancel = CancelToken::new();

@@ -13,10 +13,10 @@ use std::time::{Duration, Instant};
 use hique_plan::PhysicalPlan;
 use hique_sql::analyze::OutputExpr;
 use hique_storage::Catalog;
-use hique_types::{DataType, HiqueError, QueryResult, Result};
+use hique_types::{DataType, ExecOptions, HiqueError, QueryResult, Result};
 
 use crate::agg::CompiledAgg;
-use crate::exec::{self, ExecOptions};
+use crate::exec;
 use crate::kernel::{CompiledExpr, CompiledKey};
 use crate::source::{emit_source, GeneratedSource};
 
@@ -153,7 +153,7 @@ pub fn generate(plan: &PhysicalPlan) -> Result<GeneratedQuery> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hique_plan::{plan_query, CatalogProvider, PlannerConfig};
+    use hique_plan::{plan_sql, PlannerConfig};
     use hique_types::{Column, Row, Schema, Value};
 
     fn catalog() -> Catalog {
@@ -183,12 +183,12 @@ mod tests {
     #[test]
     fn generation_produces_source_and_kernels() {
         let cat = catalog();
-        let q = hique_sql::parse_query(
+        let plan = plan_sql(
             "select g, sum(v) as s, count(*) as n from t group by g order by g",
+            &cat,
+            &PlannerConfig::default(),
         )
         .unwrap();
-        let bound = hique_sql::analyze(&q, &CatalogProvider::new(&cat)).unwrap();
-        let plan = plan_query(&bound, &cat, &PlannerConfig::default()).unwrap();
         let generated = generate(&plan).unwrap();
         assert!(generated.source().size_bytes() > 500);
         assert!(generated.preparation_cost().source_bytes == generated.source().size_bytes());
@@ -208,9 +208,12 @@ mod tests {
     #[test]
     fn scalar_outputs_compile_to_column_or_expr_kernels() {
         let cat = catalog();
-        let q = hique_sql::parse_query("select g, v * 2 as dbl from t where v < 10").unwrap();
-        let bound = hique_sql::analyze(&q, &CatalogProvider::new(&cat)).unwrap();
-        let plan = plan_query(&bound, &cat, &PlannerConfig::default()).unwrap();
+        let plan = plan_sql(
+            "select g, v * 2 as dbl from t where v < 10",
+            &cat,
+            &PlannerConfig::default(),
+        )
+        .unwrap();
         let generated = generate(&plan).unwrap();
         assert!(matches!(generated.outputs[0], OutputKernel::Column(_)));
         assert!(matches!(generated.outputs[1], OutputKernel::Expr(_, _)));

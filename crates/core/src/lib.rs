@@ -37,8 +37,8 @@ pub mod source;
 pub mod spill;
 pub mod staging;
 
-pub use exec::ExecOptions;
 pub use generator::{generate, GeneratedQuery, OutputKernel, PreparationCost};
+pub use hique_types::ExecOptions;
 pub use relation::StagedRelation;
 pub use source::GeneratedSource;
 

@@ -537,7 +537,7 @@ pub fn describe_outputs(plan: &PhysicalPlan) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hique_plan::{plan_query, CatalogProvider, PlannerConfig};
+    use hique_plan::{plan_query, plan_sql, CatalogProvider, PlannerConfig};
     use hique_storage::Catalog;
     use hique_types::{Column, DataType, Row, Schema, Value};
 
@@ -583,9 +583,7 @@ mod tests {
 
     fn plan_for(sql: &str) -> PhysicalPlan {
         let cat = catalog();
-        let q = hique_sql::parse_query(sql).unwrap();
-        let bound = hique_sql::analyze(&q, &CatalogProvider::new(&cat)).unwrap();
-        plan_query(&bound, &cat, &PlannerConfig::default()).unwrap()
+        plan_sql(sql, &cat, &PlannerConfig::default()).unwrap()
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! Two pipeline-substrate properties extend to this engine:
 //!
 //! * **Partition parallelism** — selection vectors and join probes divide
-//!   into contiguous chunks across the plan's worker pool; per-chunk outputs
+//!   into contiguous chunks across the execution's worker pool; per-chunk outputs
 //!   concatenate in chunk order, so `threads = 1 ≡ threads = N` bit-exactly.
 //! * **Pool-backed intermediates** — under a memory budget on a paged
 //!   source catalog, alignment vectors above the spill threshold are written
@@ -15,16 +15,15 @@
 
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::time::Instant;
 
 use hique_par::{chunk_ranges, ScopedPool};
-use hique_pipeline::SpillContext;
+use hique_pipeline::{ExecFrame, SpillContext};
 use hique_plan::PhysicalPlan;
 use hique_sql::analyze::{ColumnFilter, OutputExpr, ScalarExpr};
 use hique_sql::ast::{AggFunc, BinOp};
 use hique_storage::SpillHandle;
 use hique_types::{
-    result::finalize_rows, CancelToken, DataType, ExecStats, HiqueError, PhaseTimings, QueryResult,
+    result::finalize_rows, DataType, ExecOptions, ExecStats, HiqueError, PhaseTimings, QueryResult,
     Result, Row, Value,
 };
 
@@ -89,42 +88,25 @@ impl U32Slot {
     }
 }
 
-/// Execute a physical plan with the DSM engine.
+/// Execute a physical plan with the DSM engine under default options.
 pub fn execute_plan(plan: &PhysicalPlan, db: &DsmDatabase) -> Result<QueryResult> {
-    execute_plan_cancellable(plan, db, CancelToken::disabled())
+    execute(plan, db, &ExecOptions::default())
 }
 
-/// [`execute_plan`] under a cancellation token, polled between column
-/// operators (filter applications, join steps, gathers) and at every
-/// spilled-vector page pull.
-pub fn execute_plan_cancellable(
+/// Execute a physical plan with the DSM engine under `options`.  The
+/// cancellation token is polled between column operators (filter
+/// applications, join steps, gathers) and at every spilled-vector page
+/// pull.  Rows are always materialized.
+pub fn execute(
     plan: &PhysicalPlan,
     db: &DsmDatabase,
-    cancel: CancelToken,
+    options: &ExecOptions,
 ) -> Result<QueryResult> {
     let mut stats = ExecStats::new();
-    let mut timings = PhaseTimings::new();
-    let started = Instant::now();
-    let pool = ScopedPool::new(plan.threads);
-    let spill_ctx: Option<SpillContext> = match (plan.memory_budget_pages, db.temp()) {
-        (pages, Some(temp)) if pages > 0 => Some(SpillContext::acquire_cancellable(
-            temp,
-            pages,
-            cancel.clone(),
-        )?),
-        _ => None,
-    };
-    let spill = spill_ctx.as_ref();
-    let io_base = db.pool_stats();
-    let faults_base = db
-        .pool()
-        .and_then(|p| p.fault_plan())
-        .map(|plan| plan.injected())
-        .unwrap_or(0);
-    // Per-execution residency window: peak_resident_pages reports this
-    // run's high-water, not the pool's lifetime maximum — and concurrent
-    // executions each hold their own window.
-    let peak_window = db.pool().map(|p| p.begin_peak_window());
+    let frame = ExecFrame::open(plan, options, db.pool().zip(db.temp()))?;
+    let pool = frame.workers();
+    let spill = frame.spill();
+    let cancel = &options.cancel;
 
     // Resolve the decomposed tables in FROM order.
     let stores: Vec<&ColumnStore> = plan
@@ -143,7 +125,6 @@ pub fn execute_plan_cancellable(
     }
 
     // ---- Selection (column-wise filters, materialized selection vectors) ----
-    let t0 = Instant::now();
     let mut selections: Vec<Vec<u32>> = Vec::with_capacity(stores.len());
     for (t, store) in stores.iter().enumerate() {
         stats.add_calls(1);
@@ -156,10 +137,8 @@ pub fn execute_plan_cancellable(
         stats.add_materialized(sel.len() * 4);
         selections.push(sel);
     }
-    timings.record("selection", t0.elapsed());
 
     // ---- Joins (hash joins over key columns, alignments materialized) --------
-    let t1 = Instant::now();
     // alignment[t] = for each current output position, the row id in table t
     // — staged through the pool between steps under a memory budget.
     let mut alignment: HashMap<usize, U32Slot> = HashMap::new();
@@ -281,7 +260,6 @@ pub fn execute_plan_cancellable(
         .get(&first)
         .map(|v| v.len())
         .unwrap_or_else(|| selections[first].len());
-    timings.record("join", t1.elapsed());
 
     // The gather phase reads each alignment vector repeatedly (once per
     // output column): load the final vectors once, through pin guards when
@@ -306,7 +284,6 @@ pub fn execute_plan_cancellable(
     };
 
     // ---- Aggregation ------------------------------------------------------------
-    let t2 = Instant::now();
     let mut rows: Vec<Row> = Vec::new();
     if let Some(spec) = &plan.aggregate {
         stats.add_calls(1);
@@ -404,7 +381,6 @@ pub fn execute_plan_cancellable(
                 .collect();
             rows.push(Row::new(values));
         }
-        timings.record("aggregation", t2.elapsed());
     } else {
         // Non-aggregate output: materialize each output column, then zip.
         stats.add_calls(1);
@@ -429,31 +405,11 @@ pub fn execute_plan_cancellable(
                 out_cols.iter().map(|(c, dt)| c.value_at(i, *dt)).collect(),
             ));
         }
-        timings.record("projection", t2.elapsed());
     }
 
     finalize_rows(&mut rows, &plan.order_by, plan.limit);
     stats.rows_out = rows.len() as u64;
-    timings.record("total", started.elapsed());
-    stats.io = db.pool_stats().since(&io_base);
-    if let Some(ctx) = &spill_ctx {
-        stats.spilled_temporaries = ctx.spill_count();
-        stats.spill_claim_denied = ctx.claim_denied();
-        stats.spill_consumer_peak_pages = ctx.meter().peak() as u64;
-    }
-    stats.peak_resident_pages = peak_window.map(|w| w.end() as u64).unwrap_or(0);
-    stats.faults_injected = db
-        .pool()
-        .and_then(|p| p.fault_plan())
-        .map(|plan| plan.injected())
-        .unwrap_or(0)
-        .saturating_sub(faults_base);
-    Ok(QueryResult {
-        schema: plan.output_schema.clone(),
-        rows,
-        stats,
-        timings,
-    })
+    Ok(frame.finish(plan, rows, stats, PhaseTimings::new()))
 }
 
 /// Apply one filter column-at-a-time, producing a new selection vector.
@@ -547,9 +503,9 @@ fn eval_vectorized(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hique_plan::{plan_query, CatalogProvider, PlannerConfig};
+    use hique_plan::{plan_sql, PlannerConfig};
     use hique_storage::Catalog;
-    use hique_types::{Column, Schema};
+    use hique_types::{CancelToken, Column, Schema};
 
     fn catalog() -> Catalog {
         let mut cat = Catalog::new();
@@ -602,9 +558,7 @@ mod tests {
         cat: &Catalog,
         config: &PlannerConfig,
     ) -> (QueryResult, QueryResult) {
-        let q = hique_sql::parse_query(sql).unwrap();
-        let bound = hique_sql::analyze(&q, &CatalogProvider::new(cat)).unwrap();
-        let plan = plan_query(&bound, cat, config).unwrap();
+        let plan = plan_sql(sql, cat, config).unwrap();
         let db = DsmDatabase::from_catalog(cat).unwrap();
         let dsm = execute_plan(&plan, &db).unwrap();
         let iter = hique_iter::execute_plan(&plan, cat, hique_iter::ExecMode::Optimized).unwrap();
@@ -711,20 +665,20 @@ mod tests {
     fn cancelled_dsm_execution_surfaces_a_typed_error() {
         let cat = catalog();
         let sql = "select r.k, sum(r.v) as sv from r, s where r.k = s.k group by r.k";
-        let q = hique_sql::parse_query(sql).unwrap();
-        let bound = hique_sql::analyze(&q, &CatalogProvider::new(&cat)).unwrap();
-        let plan = plan_query(&bound, &cat, &PlannerConfig::default()).unwrap();
+        let plan = plan_sql(sql, &cat, &PlannerConfig::default()).unwrap();
         let db = DsmDatabase::from_catalog(&cat).unwrap();
-        let cancel = CancelToken::new();
-        cancel.cancel();
-        let err = execute_plan_cancellable(&plan, &db, cancel).unwrap_err();
+        let cancelled = ExecOptions {
+            cancel: CancelToken::new(),
+            ..ExecOptions::default()
+        };
+        cancelled.cancel.cancel();
+        let err = execute(&plan, &db, &cancelled).unwrap_err();
         assert!(matches!(err, HiqueError::Cancelled(_)), "{err}");
-        let ok = execute_plan_cancellable(
-            &plan,
-            &db,
-            CancelToken::with_deadline(std::time::Duration::from_secs(3600)),
-        )
-        .unwrap();
+        let deadline = ExecOptions {
+            cancel: CancelToken::with_deadline(std::time::Duration::from_secs(3600)),
+            ..ExecOptions::default()
+        };
+        let ok = execute(&plan, &db, &deadline).unwrap();
         assert_eq!(ok.stats.cancelled, 0);
         assert_eq!(ok.stats.faults_injected, 0);
     }

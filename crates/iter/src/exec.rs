@@ -1,14 +1,10 @@
 //! Plan execution: building the iterator pipeline and running it.
 
-use std::rc::Rc;
-use std::time::Instant;
-
-use hique_par::ScopedPool;
-use hique_pipeline::SpillContext;
+use hique_pipeline::ExecFrame;
 use hique_plan::{AggAlgorithm, JoinAlgorithm, PhysicalPlan, StagingStrategy};
 use hique_storage::Catalog;
 use hique_types::{
-    result::finalize_rows, CancelToken, HiqueError, PhaseTimings, QueryResult, Result,
+    result::finalize_rows, ExecOptions, HiqueError, PhaseTimings, QueryResult, Result,
 };
 
 use crate::agg::{AggStrategy, AggregateIterator};
@@ -19,62 +15,40 @@ use crate::scan::ScanIterator;
 use crate::sort::SortIterator;
 use crate::BoxedIterator;
 
-/// Execute a physical plan with the iterator engine.
+/// Execute a physical plan with the iterator engine under default options.
 ///
 /// `mode` selects between the paper's "generic iterators" and "optimized
 /// iterators" implementations.
 pub fn execute_plan(plan: &PhysicalPlan, catalog: &Catalog, mode: ExecMode) -> Result<QueryResult> {
-    execute_plan_with(plan, catalog, mode, true)
+    execute(plan, catalog, mode, &ExecOptions::default())
 }
 
-/// Like [`execute_plan`], but when `collect_rows` is `false` the final
-/// result rows are only counted (`stats.rows_out`), not materialized —
-/// matching the paper's micro-benchmark methodology of never materializing
-/// query output.  Aggregate results are always collected.
-pub fn execute_plan_with(
-    plan: &PhysicalPlan,
-    catalog: &Catalog,
-    mode: ExecMode,
-    collect_rows: bool,
-) -> Result<QueryResult> {
-    execute_plan_cancellable(plan, catalog, mode, collect_rows, CancelToken::disabled())
-}
-
-/// [`execute_plan_with`] under a cancellation token, polled at the engine's
+/// Execute a physical plan with the iterator engine under `options`.
+///
+/// The blocking operators (sort runs, partition scatters) fan out over the
+/// options' worker count through the shared substrate, so `threads = 1 ≡
+/// threads = N` holds for this engine too.  Under a memory budget on a
+/// paged catalog, sort runs and hash partitions above the threshold spill
+/// through the buffer pool (the same size-only policy as the holistic
+/// engine).  The cancellation token is polled at the engine's
 /// page-granularity points (scan page fetches, spilled partition pulls,
 /// spill-admission waits, output batches).
-pub fn execute_plan_cancellable(
+pub fn execute(
     plan: &PhysicalPlan,
     catalog: &Catalog,
     mode: ExecMode,
-    collect_rows: bool,
-    cancel: CancelToken,
+    options: &ExecOptions,
 ) -> Result<QueryResult> {
-    // The blocking operators (sort runs, partition scatters) honor the
-    // plan's worker count through the shared substrate's deterministic
-    // fan-out, so `threads = 1 ≡ threads = N` holds for this engine too.
-    let pool = ScopedPool::new(plan.threads);
-    // Under a memory budget on a paged catalog, sort runs and hash
-    // partitions above the threshold spill through the buffer pool (the
-    // same size-only policy as the holistic engine).
-    let spill: Option<Rc<SpillContext>> =
-        match (plan.memory_budget_pages, catalog.storage()) {
-            (pages, Some(runtime)) if pages > 0 => Some(Rc::new(
-                SpillContext::acquire_cancellable(runtime.temp(), pages, cancel.clone())?,
-            )),
-            _ => None,
-        };
+    let frame = ExecFrame::open(
+        plan,
+        options,
+        catalog.storage().map(|s| (s.pool(), s.temp())),
+    )?;
+    let cancel = &options.cancel;
     let ctx = ExecContext::new(mode)
-        .with_pool(pool)
-        .with_spill(spill.clone())
+        .with_pool(frame.workers())
+        .with_spill(frame.shared_spill())
         .with_cancel(cancel.clone());
-    let started = Instant::now();
-    let io_base = catalog.pool_stats();
-    let faults_base = catalog.faults_injected();
-    // Per-execution residency window: peak_resident_pages reports this
-    // run's high-water, not the pool's lifetime maximum — and concurrent
-    // executions each hold their own window.
-    let peak_window = catalog.buffer_pool().map(|p| p.begin_peak_window());
 
     // ---- Staged inputs ----------------------------------------------------
     let staged_iter = |t: usize, ctx: &ExecContext| -> Result<BoxedIterator<'_>> {
@@ -218,7 +192,7 @@ pub fn execute_plan_cancellable(
     output.open()?;
     let mut rows = Vec::new();
     let mut counted: u64 = 0;
-    let keep_rows = collect_rows || plan.aggregate.is_some();
+    let keep_rows = options.collect_rows || plan.aggregate.is_some();
     while let Some(row) = output.next()? {
         // One check per page-sized batch of output rows keeps deadline
         // tokens (which read the clock) off the per-tuple path.
@@ -238,32 +212,14 @@ pub fn execute_plan_cancellable(
         counted
     });
 
-    let mut timings = PhaseTimings::new();
-    timings.record("total", started.elapsed());
-    let mut stats = ctx.stats();
-    // Buffer-pool traffic of this execution (zero on memory-resident
-    // catalogs).
-    stats.io = catalog.pool_stats().since(&io_base);
-    if let Some(spill) = &spill {
-        stats.spilled_temporaries = spill.spill_count();
-        stats.spill_claim_denied = spill.claim_denied();
-        stats.spill_consumer_peak_pages = spill.meter().peak() as u64;
-    }
-    stats.peak_resident_pages = peak_window.map(|w| w.end() as u64).unwrap_or(0);
-    stats.faults_injected = catalog.faults_injected().saturating_sub(faults_base);
-    Ok(QueryResult {
-        schema: plan.output_schema.clone(),
-        rows,
-        stats,
-        timings,
-    })
+    Ok(frame.finish(plan, rows, ctx.stats(), PhaseTimings::new()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hique_plan::{plan_query, CatalogProvider, PlannerConfig};
-    use hique_types::{Column, DataType, Row, Schema, Value};
+    use hique_plan::{plan_sql, PlannerConfig};
+    use hique_types::{CancelToken, Column, DataType, Row, Schema, Value};
 
     fn catalog() -> Catalog {
         let mut cat = Catalog::new();
@@ -324,9 +280,7 @@ mod tests {
     }
 
     fn run(sql: &str, cat: &Catalog, config: &PlannerConfig, mode: ExecMode) -> QueryResult {
-        let q = hique_sql::parse_query(sql).unwrap();
-        let bound = hique_sql::analyze(&q, &CatalogProvider::new(cat)).unwrap();
-        let plan = plan_query(&bound, cat, config).unwrap();
+        let plan = plan_sql(sql, cat, config).unwrap();
         execute_plan(&plan, cat, mode).unwrap()
     }
 
@@ -519,22 +473,25 @@ mod tests {
     #[test]
     fn cancelled_iterator_execution_surfaces_a_typed_error() {
         let cat = catalog();
-        let q = hique_sql::parse_query("select r.v, s.w from r, s where r.k = s.k").unwrap();
-        let bound = hique_sql::analyze(&q, &CatalogProvider::new(&cat)).unwrap();
-        let plan = plan_query(&bound, &cat, &PlannerConfig::default()).unwrap();
+        let plan = plan_sql(
+            "select r.v, s.w from r, s where r.k = s.k",
+            &cat,
+            &PlannerConfig::default(),
+        )
+        .unwrap();
         for mode in [ExecMode::Generic, ExecMode::Optimized] {
-            let cancel = CancelToken::new();
-            cancel.cancel();
-            let err = execute_plan_cancellable(&plan, &cat, mode, true, cancel).unwrap_err();
+            let cancelled = ExecOptions {
+                cancel: CancelToken::new(),
+                ..ExecOptions::default()
+            };
+            cancelled.cancel.cancel();
+            let err = execute(&plan, &cat, mode, &cancelled).unwrap_err();
             assert!(matches!(err, HiqueError::Cancelled(_)), "{mode:?}: {err}");
-            let ok = execute_plan_cancellable(
-                &plan,
-                &cat,
-                mode,
-                true,
-                CancelToken::with_deadline(std::time::Duration::from_secs(3600)),
-            )
-            .unwrap();
+            let deadline = ExecOptions {
+                cancel: CancelToken::with_deadline(std::time::Duration::from_secs(3600)),
+                ..ExecOptions::default()
+            };
+            let ok = execute(&plan, &cat, mode, &deadline).unwrap();
             assert_eq!(ok.stats.cancelled, 0, "{mode:?}");
         }
     }

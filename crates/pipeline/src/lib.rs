@@ -11,6 +11,10 @@
 //!   size-only spill policy (`memory_budget_pages / 4` of page data), shared
 //!   by the holistic, iterator and DSM engines so every engine spills the
 //!   same temporaries for the same budget regardless of thread count;
+//! * [`ExecFrame`] — the resource scope of one execution: option overrides
+//!   resolved against the plan, the spill claim, the I/O and fault
+//!   baselines and the peak-residency window, closed into the resource
+//!   counters of [`ExecStats`] the same way for every engine;
 //! * [`PartitionStream`] — a read view of one partition that yields records
 //!   **page-at-a-time through pool pin guards** whether the partition is a
 //!   memory-resident packed buffer or a spilled page range.  Consumers that
@@ -31,10 +35,14 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use hique_par::ScopedPool;
+use hique_plan::PhysicalPlan;
 use hique_storage::{
-    records_per_page, SpillHandle, SpillNamespace, TempSpace, PAGE_HEADER_SIZE, PAGE_SIZE,
+    records_per_page, BufferPool, BufferPoolStats, PeakWindow, SpillHandle, SpillNamespace,
+    TempSpace, PAGE_HEADER_SIZE, PAGE_SIZE,
 };
-use hique_types::{CancelToken, HiqueError, Result};
+use hique_types::{
+    CancelToken, ExecOptions, ExecStats, HiqueError, PhaseTimings, QueryResult, Result, Row,
+};
 
 /// Bytes of record data one spill page holds.
 pub fn page_data_bytes() -> usize {
@@ -198,6 +206,102 @@ impl SpillContext {
     /// The consumer-residency meter of this execution.
     pub fn meter(&self) -> &ResidencyMeter {
         &self.meter
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Execution frame
+// ---------------------------------------------------------------------------
+
+/// The resource scope of one execution, shared by every engine driver.
+///
+/// [`ExecFrame::open`] resolves the [`ExecOptions`] overrides against the
+/// plan (worker count, memory budget), claims a spill namespace when a
+/// budget is set on paged storage, snapshots the buffer-pool and fault
+/// counters and opens this run's residency window.  [`ExecFrame::finish`]
+/// fills the resource fields of [`ExecStats`] from those baselines, so all
+/// engines report I/O, spills, peak residency and injected faults by one
+/// definition.  A failed execution just drops the frame, which releases the
+/// claim and closes the window.
+pub struct ExecFrame<'a> {
+    workers: ScopedPool,
+    spill: Option<Arc<SpillContext>>,
+    pool: Option<&'a Arc<BufferPool>>,
+    io_base: BufferPoolStats,
+    faults_base: u64,
+    peak_window: Option<PeakWindow<'a>>,
+}
+
+impl<'a> ExecFrame<'a> {
+    /// Open the frame for running `plan` under `options` over `storage`:
+    /// the paged catalog's buffer pool and spill space, or `None` when the
+    /// data is memory-resident.
+    pub fn open(
+        plan: &PhysicalPlan,
+        options: &ExecOptions,
+        storage: Option<(&'a Arc<BufferPool>, &'a Arc<TempSpace>)>,
+    ) -> Result<Self> {
+        let or_plan = |value: usize, planned: usize| if value == 0 { planned } else { value };
+        let budget_pages = or_plan(options.memory_budget_pages, plan.memory_budget_pages);
+        let spill = match storage {
+            Some((_, temp)) if budget_pages > 0 => Some(Arc::new(
+                SpillContext::acquire_cancellable(temp, budget_pages, options.cancel.clone())?,
+            )),
+            _ => None,
+        };
+        let pool = storage.map(|(pool, _)| pool);
+        Ok(ExecFrame {
+            workers: ScopedPool::new(or_plan(options.threads, plan.threads)),
+            spill,
+            pool,
+            io_base: pool.map(|p| p.stats()).unwrap_or_default(),
+            faults_base: pool.map(|p| p.faults_injected()).unwrap_or(0),
+            peak_window: pool.map(|p| p.begin_peak_window()),
+        })
+    }
+
+    /// The worker pool partition-parallel operators fan out over.
+    pub fn workers(&self) -> ScopedPool {
+        self.workers
+    }
+
+    /// This execution's spill policy, when it runs under a budget on paged
+    /// storage.
+    pub fn spill(&self) -> Option<&SpillContext> {
+        self.spill.as_deref()
+    }
+
+    /// [`ExecFrame::spill`] as a shared handle, for engines whose operators
+    /// each keep one.
+    pub fn shared_spill(&self) -> Option<Arc<SpillContext>> {
+        self.spill.clone()
+    }
+
+    /// Close the frame: fill the resource counters of `stats` and assemble
+    /// the result of `plan`.
+    pub fn finish(
+        self,
+        plan: &PhysicalPlan,
+        rows: Vec<Row>,
+        mut stats: ExecStats,
+        timings: PhaseTimings,
+    ) -> QueryResult {
+        let io_now = self.pool.map(|p| p.stats()).unwrap_or_default();
+        stats.io = io_now.since(&self.io_base);
+        if let Some(ctx) = &self.spill {
+            stats.spilled_temporaries = ctx.spill_count();
+            stats.spill_claim_denied = ctx.claim_denied();
+            stats.spill_consumer_peak_pages = ctx.meter().peak() as u64;
+        }
+        stats.peak_resident_pages = self.peak_window.map(|w| w.end() as u64).unwrap_or(0);
+        let faults_now = self.pool.map(|p| p.faults_injected()).unwrap_or(0);
+        stats.faults_injected = faults_now.saturating_sub(self.faults_base);
+        QueryResult {
+            schema: plan.output_schema.clone(),
+            rows,
+            stats,
+            timings,
+        }
     }
 }
 

@@ -231,7 +231,7 @@ pub fn explain_with_stats(plan: &PhysicalPlan, actuals: &PlanActuals, stats: &Ex
 mod tests {
     use super::*;
     use crate::config::PlannerConfig;
-    use crate::optimizer::plan_query;
+    use crate::optimizer::{plan_query, plan_sql};
     use crate::provider::CatalogProvider;
     use hique_sql::{analyze, parse_query};
     use hique_storage::Catalog;
@@ -270,13 +270,13 @@ mod tests {
         }
         cat.analyze_table("r").unwrap();
         cat.analyze_table("s").unwrap();
-        let q = parse_query(
+        let plan = plan_sql(
             "select r.k, sum(s.w) as total from r, s where r.k = s.k and r.v > 5 \
              group by r.k order by total desc limit 3",
+            &cat,
+            &PlannerConfig::default(),
         )
         .unwrap();
-        let bound = analyze(&q, &CatalogProvider::new(&cat)).unwrap();
-        let plan = plan_query(&bound, &cat, &PlannerConfig::default()).unwrap();
         let text = explain(&plan);
         assert!(text.contains("stage[0]"));
         assert!(text.contains("stage[1]"));

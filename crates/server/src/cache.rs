@@ -187,16 +187,12 @@ impl PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hique_plan::{
-        plan_query, shape_class_and_consts, shape_key, CatalogProvider, PlannerConfig,
-    };
+    use hique_plan::{plan_sql, shape_class_and_consts, shape_key, PlannerConfig};
     use hique_storage::Catalog;
     use hique_types::{Column, DataType, Row, Schema, Value};
 
     fn prepared_for(sql: &str, cat: &Catalog) -> Arc<PreparedQuery> {
-        let q = hique_sql::parse_query(sql).unwrap();
-        let bound = hique_sql::analyze(&q, &CatalogProvider::new(cat)).unwrap();
-        let plan = plan_query(&bound, cat, &PlannerConfig::default()).unwrap();
+        let plan = plan_sql(sql, cat, &PlannerConfig::default()).unwrap();
         let generated = hique_holistic::generate(&plan).unwrap();
         let template = hique_vm::compile(&generated, cat, hique_vm::CompileMode::Pooled).unwrap();
         let vm = template.bind(&generated, cat).unwrap();

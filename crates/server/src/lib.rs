@@ -15,6 +15,9 @@
 //! * [`Session`] is one client's handle: it prepares through the shared
 //!   cache (first request of a shape pays the Table III cost, every repeat
 //!   is a cache hit) and executes on any of the five engine modes;
+//! * [`Engine`] names those modes and [`execute`] dispatches a prepared
+//!   plan to one of them — the single dispatch the benchmark harness and
+//!   the differential harness share with the server;
 //! * [`wire`] is the std-only line-based TCP protocol (`hique-server`
 //!   binary), usable with nothing but `nc`.
 //!
@@ -28,9 +31,11 @@
 #![forbid(unsafe_code)]
 
 pub mod cache;
+pub mod engine;
 pub mod session;
 pub mod wire;
 
 pub use cache::{CacheStats, PlanCache, PreparedQuery};
-pub use session::{Engine, Server, ServerConfig, Session};
+pub use engine::{execute, Compiled, Engine};
+pub use session::{Server, ServerConfig, Session};
 pub use wire::{serve, WireClient, WireResponse};

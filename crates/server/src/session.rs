@@ -7,65 +7,14 @@ use std::time::Duration;
 
 use hique_dsm::DsmDatabase;
 use hique_holistic::{ExecOptions, GeneratedQuery};
-use hique_plan::{plan_query, shape_class_and_consts, shape_key, CatalogProvider, PlannerConfig};
+use hique_plan::{plan_sql, shape_class_and_consts, shape_key, PlannerConfig};
 use hique_storage::Catalog;
 use hique_types::{CancelToken, HiqueError, QueryResult, Result};
 use hique_vm::VmProgram;
 use parking_lot::Mutex;
 
 use crate::cache::{CacheStats, Lookup, PlanCache, PreparedQuery};
-
-/// Which engine mode a session executes on.  All five share the catalog,
-/// the cached plan and the spill/peak-window contracts; the differential
-/// harness relies on their results being canonically identical.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Engine {
-    /// Holistic generated kernels (the paper's engine).
-    Holistic,
-    /// Generic Volcano iterators.
-    IterGeneric,
-    /// Type-specialized iterators.
-    IterOptimized,
-    /// Column-at-a-time DSM engine.
-    Dsm,
-    /// Query-time-compiled bytecode interpreted by the register VM.
-    Vm,
-}
-
-impl Engine {
-    /// Every engine mode, in the canonical differential-test order.
-    pub const ALL: [Engine; 5] = [
-        Engine::Holistic,
-        Engine::IterGeneric,
-        Engine::IterOptimized,
-        Engine::Dsm,
-        Engine::Vm,
-    ];
-
-    /// Stable lowercase name (wire protocol `.engine` argument).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Engine::Holistic => "holistic",
-            Engine::IterGeneric => "iter-generic",
-            Engine::IterOptimized => "iter-optimized",
-            Engine::Dsm => "dsm",
-            Engine::Vm => "vm",
-        }
-    }
-
-    /// Parse a wire-protocol engine name.
-    pub fn parse(name: &str) -> Result<Engine> {
-        Engine::ALL
-            .into_iter()
-            .find(|e| e.name() == name)
-            .ok_or_else(|| {
-                HiqueError::Unsupported(format!(
-                    "unknown engine '{name}' (expected one of: holistic, iter-generic, \
-                     iter-optimized, dsm, vm)"
-                ))
-            })
-    }
-}
+use crate::engine::{execute, Engine};
 
 /// Server sizing knobs.
 #[derive(Debug, Clone)]
@@ -84,10 +33,6 @@ pub struct ServerConfig {
     pub memory_budget_pages: usize,
     /// Prepared-plan cache entries.
     pub plan_cache_capacity: usize,
-    /// Force every join to this algorithm (benchmarks and tests only —
-    /// e.g. `NestedLoops`, which the bytecode VM refuses with a typed
-    /// `Unsupported`, exercises the vm engine's holistic fallback).
-    pub force_join_algorithm: Option<hique_plan::JoinAlgorithm>,
 }
 
 impl Default for ServerConfig {
@@ -97,7 +42,6 @@ impl Default for ServerConfig {
             threads: 1,
             memory_budget_pages: 0,
             plan_cache_capacity: 256,
-            force_join_algorithm: None,
         }
     }
 }
@@ -111,11 +55,6 @@ pub(crate) struct Shared {
     session_seq: AtomicU64,
     queries_served: AtomicU64,
     queries_cancelled: AtomicU64,
-    /// `engine=vm` statements that transparently executed on the holistic
-    /// engine because the plan has no bytecode lowering (or the VM refused
-    /// it at runtime).  The reply is identical either way; this counter is
-    /// the only externally visible trace of the degradation.
-    vm_fallbacks: AtomicU64,
     /// Cancellation tokens of queries currently executing, keyed by session
     /// id (one in-flight statement per session).  [`Server::cancel_all`]
     /// fires every one of them, which is how drain-on-shutdown stops
@@ -159,10 +98,9 @@ impl Server {
             runtime.temp().set_max_claims(config.max_sessions.max(1));
         }
         let dsm = DsmDatabase::from_catalog(&catalog)?;
-        let mut planner = PlannerConfig::default()
+        let planner = PlannerConfig::default()
             .with_threads(config.threads.max(1))
             .with_memory_budget_pages(budget);
-        planner.force_join_algorithm = config.force_join_algorithm;
         Ok(Server {
             shared: Arc::new(Shared {
                 catalog,
@@ -173,7 +111,6 @@ impl Server {
                 session_seq: AtomicU64::new(0),
                 queries_served: AtomicU64::new(0),
                 queries_cancelled: AtomicU64::new(0),
-                vm_fallbacks: AtomicU64::new(0),
                 inflight: Mutex::new(HashMap::new()),
             }),
         })
@@ -222,12 +159,6 @@ impl Server {
     /// Queries executed across all sessions since startup.
     pub fn queries_served(&self) -> u64 {
         self.shared.queries_served.load(Ordering::Relaxed)
-    }
-
-    /// `engine=vm` statements that transparently degraded to the holistic
-    /// engine (no bytecode lowering for the plan).
-    pub fn vm_fallbacks(&self) -> u64 {
-        self.shared.vm_fallbacks.load(Ordering::Relaxed)
     }
 }
 
@@ -285,9 +216,7 @@ impl Session {
             Lookup::Template(prepared) => Some(prepared),
             Lookup::Miss => None,
         };
-        let query = hique_sql::parse_query(sql)?;
-        let bound = hique_sql::analyze(&query, &CatalogProvider::new(&self.shared.catalog))?;
-        let plan = plan_query(&bound, &self.shared.catalog, &self.shared.planner)?;
+        let plan = plan_sql(sql, &self.shared.catalog, &self.shared.planner)?;
         let generated = hique_holistic::generate(&plan)?;
         let (vm, vm_template) = compile_vm(
             &generated,
@@ -333,61 +262,18 @@ impl Session {
                 id: self.id,
             }
         };
-        let result = match engine {
-            Engine::Holistic => prepared.generated.execute_with(
-                &self.shared.catalog,
-                &ExecOptions {
-                    cancel: cancel.clone(),
-                    ..ExecOptions::default()
-                },
-            ),
-            Engine::IterGeneric => hique_iter::execute_plan_cancellable(
-                prepared.plan(),
-                &self.shared.catalog,
-                hique_iter::ExecMode::Generic,
-                true,
-                cancel.clone(),
-            ),
-            Engine::IterOptimized => hique_iter::execute_plan_cancellable(
-                prepared.plan(),
-                &self.shared.catalog,
-                hique_iter::ExecMode::Optimized,
-                true,
-                cancel.clone(),
-            ),
-            Engine::Dsm => hique_dsm::execute_plan_cancellable(
-                prepared.plan(),
-                &self.shared.dsm,
-                cancel.clone(),
-            ),
-            // Bytecode when the plan lowered; otherwise degrade gracefully
-            // to the holistic engine the bytecode was rendered from — the
-            // reply is identical (the differential harness proves it), and
-            // the degradation is visible only as `vm_fallbacks` in `.stats`.
-            Engine::Vm => {
-                let options = ExecOptions {
-                    cancel: cancel.clone(),
-                    ..ExecOptions::default()
-                };
-                let fallback = |e: HiqueError| match e {
-                    HiqueError::Unsupported(_) => {
-                        self.shared.vm_fallbacks.fetch_add(1, Ordering::Relaxed);
-                        prepared
-                            .generated
-                            .execute_with(&self.shared.catalog, &options)
-                    }
-                    other => Err(other),
-                };
-                match prepared.vm.as_ref() {
-                    Some(program) => program
-                        .execute(&prepared.generated, &self.shared.catalog, &options)
-                        .or_else(fallback),
-                    None => fallback(HiqueError::Unsupported(
-                        "query has no bytecode lowering (vm engine)".into(),
-                    )),
-                }
-            }
+        let options = ExecOptions {
+            cancel,
+            ..ExecOptions::default()
         };
+        let result = execute(
+            engine,
+            &prepared.generated,
+            prepared.vm.as_ref(),
+            &self.shared.catalog,
+            &self.shared.dsm,
+            &options,
+        );
         match result {
             Ok(result) => {
                 self.shared.queries_served.fetch_add(1, Ordering::Relaxed);
@@ -527,47 +413,16 @@ mod tests {
     }
 
     #[test]
-    fn vm_engine_degrades_to_holistic_when_bytecode_cannot_lower() {
-        // The VM refuses forced nested-loops joins with a typed
-        // `Unsupported`, so `engine=vm` must transparently answer through
-        // the holistic engine and count the degradation.
-        let mut cat = catalog(60);
-        cat.create_table("s", Schema::new(vec![Column::new("k", DataType::Int32)]))
-            .unwrap();
-        for i in 0..6 {
-            cat.table_mut("s")
-                .unwrap()
-                .heap
-                .append_row(&Row::new(vec![Value::Int32(i)]))
-                .unwrap();
-        }
-        cat.analyze_table("s").unwrap();
-        let config = ServerConfig {
-            force_join_algorithm: Some(hique_plan::JoinAlgorithm::NestedLoops),
-            ..ServerConfig::default()
-        };
-        let server = Server::new(cat, config).unwrap();
-        let sql = "select r.k, count(*) as n from r, s where r.k = s.k \
-                   group by r.k order by r.k";
-        let mut vm = server.session();
-        vm.set_engine(Engine::Vm);
-        let degraded = vm.execute(sql).unwrap();
-        let mut reference = server.session();
-        let reference = reference.execute_on(sql, Engine::Holistic).unwrap();
-        assert_eq!(degraded.rows, reference.rows);
-        assert_eq!(server.vm_fallbacks(), 1);
-        assert_eq!(server.queries_served(), 2);
-    }
-
-    #[test]
     fn engine_names_round_trip_and_errors_are_typed() {
         for e in Engine::ALL {
             assert_eq!(Engine::parse(e.name()).unwrap(), e);
         }
-        assert!(matches!(
-            Engine::parse("volcano"),
-            Err(HiqueError::Unsupported(_))
-        ));
+        match Engine::parse("volcano") {
+            Err(HiqueError::Unsupported(msg)) => {
+                assert!(Engine::ALL.iter().all(|e| msg.contains(e.name())), "{msg}")
+            }
+            other => panic!("expected a typed Unsupported error, got {other:?}"),
+        }
         let server = Server::new(catalog(10), ServerConfig::default()).unwrap();
         let mut s = server.session();
         assert!(matches!(

@@ -35,7 +35,8 @@ use std::time::Duration;
 
 use hique_types::{HiqueError, QueryResult, Result};
 
-use crate::session::{Engine, Server, Session};
+use crate::engine::Engine;
+use crate::session::{Server, Session};
 
 /// How often an idle connection or the accept loop re-checks the stop flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(100);
@@ -257,13 +258,12 @@ fn handle_connection(
                     let cache = server.cache_stats();
                     writeln!(
                         writer,
-                        "OK stats\ncache_hits={}\ncache_misses={}\ncache_entries={}\nqueries={}\nqueries_cancelled={}\nvm_fallbacks={}\nengine={}\n.",
+                        "OK stats\ncache_hits={}\ncache_misses={}\ncache_entries={}\nqueries={}\nqueries_cancelled={}\nengine={}\n.",
                         cache.hits,
                         cache.misses,
                         cache.entries,
                         server.queries_served(),
                         server.queries_cancelled(),
-                        server.vm_fallbacks(),
                         session.engine().name()
                     )
                     .map_err(io_err)
@@ -467,54 +467,6 @@ mod tests {
         stop.store(true, Ordering::Release);
         serve_handle.join().unwrap().unwrap();
         assert_eq!(server.queries_served(), 3);
-    }
-
-    /// `engine=vm` on a plan with no bytecode lowering (forced nested
-    /// loops) transparently executes via holistic: the wire reply is
-    /// byte-identical to `engine=holistic`, and the degradation is visible
-    /// only as `vm_fallbacks` in `.stats`.
-    #[test]
-    fn vm_fallback_reply_is_identical_to_holistic_over_the_wire() {
-        let mut cat = catalog();
-        cat.create_table("s", Schema::new(vec![Column::new("k", DataType::Int32)]))
-            .unwrap();
-        for i in 0..5 {
-            cat.table_mut("s")
-                .unwrap()
-                .heap
-                .append_row(&Row::new(vec![Value::Int32(i)]))
-                .unwrap();
-        }
-        cat.analyze_table("s").unwrap();
-        let config = ServerConfig {
-            force_join_algorithm: Some(hique_plan::JoinAlgorithm::NestedLoops),
-            ..ServerConfig::default()
-        };
-        let server = Server::new(cat, config).unwrap();
-        let (addr, stop, serve_handle) = start(&server);
-
-        let mut client = WireClient::connect(addr).unwrap();
-        let sql = "select r.k, count(*) as n from r, s where r.k = s.k \
-                   group by r.k order by r.k";
-        let holistic = client.query(sql).unwrap();
-        assert!(holistic.is_ok(), "{}", holistic.status);
-        assert!(!holistic.rows().is_empty());
-
-        client.request(".engine vm").unwrap();
-        let vm = client.query(sql).unwrap();
-        assert_eq!(vm.status, holistic.status);
-        assert_eq!(vm.lines, holistic.lines);
-
-        let stats = client.request(".stats").unwrap();
-        assert!(
-            stats.lines.iter().any(|l| l == "vm_fallbacks=1"),
-            "{:?}",
-            stats.lines
-        );
-
-        stop.store(true, Ordering::Release);
-        serve_handle.join().unwrap().unwrap();
-        assert_eq!(server.vm_fallbacks(), 1);
     }
 
     /// Satellite 3: the server survives hostile input — oversized lines,

@@ -176,6 +176,12 @@ impl BufferPool {
         self.state.lock().fault_plan.clone()
     }
 
+    /// Faults injected by the installed plan so far (0 when none is).
+    /// Executions snapshot this to fill `ExecStats::faults_injected`.
+    pub fn faults_injected(&self) -> u64 {
+        self.fault_plan().map(|p| p.injected()).unwrap_or(0)
+    }
+
     /// Maximum number of resident frames.
     pub fn capacity(&self) -> usize {
         self.capacity

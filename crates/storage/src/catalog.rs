@@ -103,11 +103,6 @@ impl StorageRuntime {
     pub fn install_fault_plan(&self, plan: Option<Arc<crate::fault::FaultPlan>>) {
         self.pool.set_fault_plan(plan);
     }
-
-    /// Faults injected by the currently installed plan (0 when none is).
-    pub fn faults_injected(&self) -> u64 {
-        self.pool.fault_plan().map(|p| p.injected()).unwrap_or(0)
-    }
 }
 
 impl Drop for StorageRuntime {
@@ -319,17 +314,6 @@ impl Catalog {
             .as_ref()
             .map(|s| s.pool.stats())
             .unwrap_or_default()
-    }
-
-    /// Faults injected by the runtime's installed fault plan so far (0 for
-    /// a memory-resident catalog or when no plan is installed).  Engines
-    /// snapshot this around an execution to fill
-    /// `ExecStats::faults_injected`.
-    pub fn faults_injected(&self) -> u64 {
-        self.storage
-            .as_ref()
-            .map(|s| s.faults_injected())
-            .unwrap_or(0)
     }
 
     /// Gather per-column statistics — distinct counts, min/max bounds, a

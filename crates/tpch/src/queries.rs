@@ -64,7 +64,7 @@ pub fn all_queries() -> Vec<(&'static str, &'static str)> {
 mod tests {
     use super::*;
     use crate::gen::generate_into_catalog;
-    use hique_plan::{plan_query, CatalogProvider, PlannerConfig};
+    use hique_plan::{plan_query, plan_sql, CatalogProvider, PlannerConfig};
 
     #[test]
     fn queries_parse_analyze_and_plan() {
@@ -82,9 +82,7 @@ mod tests {
     #[test]
     fn q1_plan_uses_map_aggregation() {
         let catalog = generate_into_catalog(0.001).unwrap();
-        let parsed = hique_sql::parse_query(Q1_SQL).unwrap();
-        let bound = hique_sql::analyze(&parsed, &CatalogProvider::new(&catalog)).unwrap();
-        let plan = plan_query(&bound, &catalog, &PlannerConfig::default()).unwrap();
+        let plan = plan_sql(Q1_SQL, &catalog, &PlannerConfig::default()).unwrap();
         assert_eq!(
             plan.aggregate.as_ref().unwrap().algorithm,
             hique_plan::AggAlgorithm::Map,
@@ -98,9 +96,7 @@ mod tests {
     fn q3_and_q10_plans_are_join_cascades() {
         let catalog = generate_into_catalog(0.001).unwrap();
         for (name, sql, tables) in [("Q3", Q3_SQL, 3usize), ("Q10", Q10_SQL, 4usize)] {
-            let parsed = hique_sql::parse_query(sql).unwrap();
-            let bound = hique_sql::analyze(&parsed, &CatalogProvider::new(&catalog)).unwrap();
-            let plan = plan_query(&bound, &catalog, &PlannerConfig::default()).unwrap();
+            let plan = plan_sql(sql, &catalog, &PlannerConfig::default()).unwrap();
             assert_eq!(plan.staged.len(), tables, "{name}");
             assert!(plan.join_team.is_none(), "{name}: joins use different keys");
             assert_eq!(plan.joins.len(), tables - 1, "{name}");

@@ -19,6 +19,7 @@ pub mod cancel;
 pub mod datatype;
 pub mod error;
 pub mod histogram;
+pub mod options;
 pub mod result;
 pub mod row;
 pub mod schema;
@@ -30,6 +31,7 @@ pub use cancel::CancelToken;
 pub use datatype::DataType;
 pub use error::{HiqueError, Result};
 pub use histogram::{Bucket, CmpKind, ColumnDistribution};
+pub use options::ExecOptions;
 pub use result::{PhaseTimings, QueryResult};
 pub use row::Row;
 pub use schema::{Column, Schema};

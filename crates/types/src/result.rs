@@ -14,7 +14,8 @@ use crate::stats::ExecStats;
 /// Wall-clock time spent in each named execution phase.
 ///
 /// The paper breaks execution time into staging/join/aggregation work when
-/// discussing Figures 5 and 6; engines record comparable phases here.
+/// discussing Figures 5 and 6.  The holistic and VM engines record those
+/// phases here; the iterator and DSM engines leave it empty.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PhaseTimings {
     phases: Vec<(String, Duration)>,

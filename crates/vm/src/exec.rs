@@ -10,24 +10,26 @@
 //! static kernels use: build the right input in staging order, probe the
 //! left input in staging order, emit left-major — one fixed order for
 //! every thread count and budget, which is what keeps results
-//! bit-identical across the conformance matrix.
+//! bit-identical across the conformance matrix.  A forced nested-loops
+//! step runs the holistic engine's nested-loops kernel.
 //!
 //! The execution contract is the engine contract everywhere else
 //! (DESIGN.md §7/§9/§12): [`ExecOptions`] threads/budget/cancel,
 //! page-at-a-time heap scans through pin guards, staged inputs spilled
-//! through the catalog's [`SpillContext`] namespace and consumed
+//! through the [`ExecFrame`]'s spill namespace and consumed
 //! page-at-a-time when streaming, full [`ExecStats`] with the same merge
 //! semantics, and cooperative cancellation checked at page granularity.
 
 use std::collections::HashMap;
 use std::time::Instant;
 
+use hique_holistic::join::nested_loops_join;
 use hique_holistic::kernel::CompiledKey;
 use hique_holistic::spill::StagedSlot;
 use hique_holistic::staging::StagedInput;
 use hique_holistic::{ExecOptions, GeneratedQuery, StagedRelation};
 use hique_par::{chunk_ranges, ScopedPool};
-use hique_pipeline::SpillContext;
+use hique_pipeline::ExecFrame;
 use hique_plan::{JoinAlgorithm, StagedTable};
 use hique_sql::ast::AggFunc;
 use hique_storage::{Catalog, TableHeap};
@@ -107,17 +109,22 @@ pub enum Tier {
 
 impl VmProgram {
     /// Execute this program on the default (vectorized) tier; see
-    /// [`execute`].
+    /// [`VmProgram::execute_with_tier`].
     pub fn execute(
         &self,
         generated: &GeneratedQuery,
         catalog: &Catalog,
         options: &ExecOptions,
     ) -> Result<QueryResult> {
-        execute_tiered(self, generated, catalog, options, Tier::default())
+        self.execute_with_tier(generated, catalog, options, Tier::default())
     }
 
-    /// Execute this program on an explicit tier; see [`execute_tiered`].
+    /// Execute this program on an explicit interpreter tier.
+    ///
+    /// `generated` must be the query the program was compiled for (or
+    /// rebound to via [`VmProgram::bind`]): the plan-shape signature is
+    /// re-derived and checked, so executing bytecode against a foreign plan
+    /// is a typed error instead of garbage decoding.
     pub fn execute_with_tier(
         &self,
         generated: &GeneratedQuery,
@@ -125,28 +132,11 @@ impl VmProgram {
         options: &ExecOptions,
         tier: Tier,
     ) -> Result<QueryResult> {
-        execute_tiered(self, generated, catalog, options, tier)
+        run(self, generated, catalog, options, tier)
     }
 }
 
-/// Execute a compiled program on the default (vectorized) tier.
-///
-/// `generated` must be the query the program was compiled for (or rebound
-/// to via [`VmProgram::bind`]): the plan-shape signature is re-derived and
-/// checked, so executing bytecode against a foreign plan is a typed error
-/// instead of garbage decoding.
-pub fn execute(
-    program: &VmProgram,
-    generated: &GeneratedQuery,
-    catalog: &Catalog,
-    options: &ExecOptions,
-) -> Result<QueryResult> {
-    execute_tiered(program, generated, catalog, options, Tier::default())
-}
-
-/// Execute a compiled program on an explicit interpreter tier; see
-/// [`execute`] for the contract.
-pub fn execute_tiered(
+fn run(
     program: &VmProgram,
     generated: &GeneratedQuery,
     catalog: &Catalog,
@@ -163,29 +153,14 @@ pub fn execute_tiered(
     let consts = &program.pool;
     let mut stats = ExecStats::new();
     let mut timings = PhaseTimings::new();
-    let pool = ScopedPool::new(if options.threads == 0 {
-        plan.threads
-    } else {
-        options.threads
-    });
-    let budget_pages = if options.memory_budget_pages == 0 {
-        plan.memory_budget_pages
-    } else {
-        options.memory_budget_pages
-    };
+    let frame = ExecFrame::open(
+        plan,
+        options,
+        catalog.storage().map(|s| (s.pool(), s.temp())),
+    )?;
+    let pool = frame.workers();
+    let spill = frame.spill();
     let cancel = &options.cancel;
-    let spill_ctx: Option<SpillContext> = match (budget_pages, catalog.storage()) {
-        (pages, Some(runtime)) if pages > 0 => Some(SpillContext::acquire_cancellable(
-            runtime.temp(),
-            pages,
-            cancel.clone(),
-        )?),
-        _ => None,
-    };
-    let spill = spill_ctx.as_ref();
-    let io_base = catalog.pool_stats();
-    let faults_base = catalog.faults_injected();
-    let peak_window = catalog.buffer_pool().map(|p| p.begin_peak_window());
 
     // ---- Staging -----------------------------------------------------------
     let t0 = Instant::now();
@@ -231,6 +206,8 @@ pub fn execute_tiered(
     // the record prefix as the intermediate grows).
     struct CascadeStep {
         right: usize,
+        left_key: usize,
+        right_key: usize,
         left_image: Frag,
         right_image: Frag,
         algorithm: JoinAlgorithm,
@@ -241,6 +218,8 @@ pub fn execute_tiered(
             .enumerate()
             .map(|(i, &m)| CascadeStep {
                 right: m,
+                left_key: team.key_columns[0],
+                right_key: team.key_columns[i + 1],
                 left_image: program.team_images[0],
                 right_image: program.team_images[i + 1],
                 algorithm: team.algorithm,
@@ -252,6 +231,8 @@ pub fn execute_tiered(
             .zip(&program.joins)
             .map(|(step, frags)| CascadeStep {
                 right: step.right,
+                left_key: step.left_key,
+                right_key: step.right_key,
                 left_image: frags.left_image,
                 right_image: frags.right_image,
                 algorithm: step.algorithm,
@@ -271,11 +252,6 @@ pub fn execute_tiered(
         let mut current_schema = plan.staged[first].schema.clone();
         for (i, step) in steps.iter().enumerate() {
             cancel.check()?;
-            if step.algorithm == JoinAlgorithm::NestedLoops {
-                return Err(HiqueError::Unsupported(
-                    "nested-loops cross products are not generated".into(),
-                ));
-            }
             let current = current_slot.into_input(spill)?;
             let right_desc = &plan.staged[step.right];
             let right = staged[step.right]
@@ -288,24 +264,38 @@ pub fn execute_tiered(
 
             let mut out = StagedRelation::new(out_schema.clone());
             let mut buf = vec![0u8; out_schema.tuple_size()];
-            hash_join(
-                &current.relation,
-                &right.relation,
-                step.left_image.ops(code),
-                step.right_image.ops(code),
-                tier,
-                &mut stats,
-                cancel,
-                &mut |lrec, rrec| {
-                    buf[..lrec.len()].copy_from_slice(lrec);
-                    buf[lrec.len()..].copy_from_slice(rrec);
-                    if stream_this {
-                        sink.consume(&buf);
-                    } else {
-                        out.push(&buf);
-                    }
-                },
-            )?;
+            let mut consume = |lrec: &[u8], rrec: &[u8]| {
+                buf[..lrec.len()].copy_from_slice(lrec);
+                buf[lrec.len()..].copy_from_slice(rrec);
+                if stream_this {
+                    sink.consume(&buf);
+                } else {
+                    out.push(&buf);
+                }
+            };
+            if step.algorithm == JoinAlgorithm::NestedLoops {
+                // Forced degradation only (the optimizer never picks it):
+                // the holistic engine's serial nested-loops kernel.
+                nested_loops_join(
+                    &current.relation,
+                    &right.relation,
+                    CompiledKey::compile(&current_schema, step.left_key),
+                    CompiledKey::compile(&right_desc.schema, step.right_key),
+                    &mut stats,
+                    &mut consume,
+                );
+            } else {
+                hash_join(
+                    &current.relation,
+                    &right.relation,
+                    step.left_image.ops(code),
+                    step.right_image.ops(code),
+                    tier,
+                    &mut stats,
+                    cancel,
+                    &mut consume,
+                )?;
+            }
             if !stream_this {
                 stats.add_materialized(out.data_bytes());
                 current_slot = StagedSlot::stage(StagedInput::unpartitioned(out), spill)?;
@@ -513,21 +503,7 @@ pub fn execute_tiered(
     }
     timings.record("output", t4.elapsed());
 
-    stats.io = catalog.pool_stats().since(&io_base);
-    if let Some(ctx) = &spill_ctx {
-        stats.spilled_temporaries = ctx.spill_count();
-        stats.spill_claim_denied = ctx.claim_denied();
-        stats.spill_consumer_peak_pages = ctx.meter().peak() as u64;
-    }
-    stats.peak_resident_pages = peak_window.map(|w| w.end() as u64).unwrap_or(0);
-    stats.faults_injected = catalog.faults_injected().saturating_sub(faults_base);
-
-    Ok(QueryResult {
-        schema: plan.output_schema.clone(),
-        rows,
-        stats,
-        timings,
-    })
+    Ok(frame.finish(plan, rows, stats, timings))
 }
 
 /// Scan one base table through its bytecode filter/projection fragments,

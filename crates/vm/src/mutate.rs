@@ -871,7 +871,7 @@ fn fused_pool_oob(p: &mut VmProgram, rng: &mut Rng) -> Option<String> {
 mod tests {
     use super::*;
     use crate::program::{compile, CompileMode};
-    use hique_plan::{plan_query, CatalogProvider, PlannerConfig};
+    use hique_plan::{plan_sql, PlannerConfig};
     use hique_storage::Catalog;
     use hique_types::{Column, DataType, Row, Schema, Value};
 
@@ -929,9 +929,7 @@ mod tests {
             "select k, count(*) as n, sum(v * 2.5 + 1) as adj from r \
              where k < 4 group by k order by k",
         ] {
-            let q = hique_sql::parse_query(sql).unwrap();
-            let bound = hique_sql::analyze(&q, &CatalogProvider::new(&cat)).unwrap();
-            let plan = plan_query(&bound, &cat, &PlannerConfig::default()).unwrap();
+            let plan = plan_sql(sql, &cat, &PlannerConfig::default()).unwrap();
             let generated = hique_holistic::generate(&plan).unwrap();
             for mode in [CompileMode::Specialized, CompileMode::Pooled] {
                 let template = compile(&generated, &cat, mode).unwrap();
@@ -955,9 +953,12 @@ mod tests {
     #[test]
     fn mutant_stream_is_deterministic_per_seed() {
         let cat = catalog();
-        let q = hique_sql::parse_query("select k from r where k < 3 order by k").unwrap();
-        let bound = hique_sql::analyze(&q, &CatalogProvider::new(&cat)).unwrap();
-        let plan = plan_query(&bound, &cat, &PlannerConfig::default()).unwrap();
+        let plan = plan_sql(
+            "select k from r where k < 3 order by k",
+            &cat,
+            &PlannerConfig::default(),
+        )
+        .unwrap();
         let generated = hique_holistic::generate(&plan).unwrap();
         let template = compile(&generated, &cat, CompileMode::Pooled).unwrap();
         let a: Vec<String> = mutants(&template, 7, 32)

@@ -1445,7 +1445,7 @@ mod tests {
     use super::*;
     use crate::bytecode::{Op, RhsI};
     use crate::program::{compile, CompileMode, OutputOp};
-    use hique_plan::{plan_query, CatalogProvider, PlannerConfig};
+    use hique_plan::{plan_sql, PlannerConfig};
     use hique_sql::ast::CmpOp;
     use hique_types::{Column, Row, Value};
 
@@ -1492,9 +1492,7 @@ mod tests {
     }
 
     fn prepare(sql: &str, cat: &Catalog) -> GeneratedQuery {
-        let q = hique_sql::parse_query(sql).unwrap();
-        let bound = hique_sql::analyze(&q, &CatalogProvider::new(cat)).unwrap();
-        let plan = plan_query(&bound, cat, &PlannerConfig::default()).unwrap();
+        let plan = plan_sql(sql, cat, &PlannerConfig::default()).unwrap();
         hique_holistic::generate(&plan).unwrap()
     }
 

@@ -4,7 +4,7 @@
 
 use hique::dsm::DsmDatabase;
 use hique::iter::ExecMode;
-use hique::plan::{plan_query, AggAlgorithm, CatalogProvider, JoinAlgorithm, PlannerConfig};
+use hique::plan::{plan_sql, AggAlgorithm, JoinAlgorithm, PlannerConfig};
 use hique::storage::Catalog;
 use hique::types::{Column, DataType, QueryResult, Result, Row, Schema, Value};
 use rand::rngs::SmallRng;
@@ -46,9 +46,7 @@ fn build_catalog(r_rows: &[(i32, f64, &str)], s_rows: &[(i32, i32)]) -> Result<C
 }
 
 fn run_all_engines(sql: &str, catalog: &Catalog, config: &PlannerConfig) -> Vec<QueryResult> {
-    let parsed = hique::sql::parse_query(sql).unwrap();
-    let bound = hique::sql::analyze(&parsed, &CatalogProvider::new(catalog)).unwrap();
-    let plan = plan_query(&bound, catalog, config).unwrap();
+    let plan = plan_sql(sql, catalog, config).unwrap();
     let db = DsmDatabase::from_catalog(catalog).unwrap();
     vec![
         hique::iter::execute_plan(&plan, catalog, ExecMode::Generic).unwrap(),
@@ -226,11 +224,8 @@ fn group_sums_partition_the_total() {
             AggAlgorithm::HybridHashSort,
             AggAlgorithm::Map,
         ][case % 3];
-        let parsed =
-            hique::sql::parse_query("select k, sum(v) as sv from r group by k order by k").unwrap();
-        let bound = hique::sql::analyze(&parsed, &CatalogProvider::new(&catalog)).unwrap();
-        let plan = plan_query(
-            &bound,
+        let plan = plan_sql(
+            "select k, sum(v) as sv from r group by k order by k",
             &catalog,
             &PlannerConfig::default().with_agg_algorithm(algo),
         )

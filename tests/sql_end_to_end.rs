@@ -1,7 +1,7 @@
 //! End-to-end SQL behaviour through the full pipeline
 //! (parse → analyze → optimize → generate → execute).
 
-use hique::plan::{plan_query, CatalogProvider, PlannerConfig};
+use hique::plan::{plan_sql, PlannerConfig};
 use hique::storage::Catalog;
 use hique::types::{Column, DataType, HiqueError, QueryResult, Result, Row, Schema, Value};
 
@@ -46,9 +46,7 @@ fn catalog() -> Result<Catalog> {
 }
 
 fn run(sql: &str, catalog: &Catalog) -> Result<QueryResult> {
-    let parsed = hique::sql::parse_query(sql)?;
-    let bound = hique::sql::analyze(&parsed, &CatalogProvider::new(catalog))?;
-    let plan = plan_query(&bound, catalog, &PlannerConfig::default())?;
+    let plan = plan_sql(sql, catalog, &PlannerConfig::default())?;
     hique::holistic::execute_plan(&plan, catalog)
 }
 
@@ -150,12 +148,12 @@ fn date_arithmetic_in_predicates() {
 #[test]
 fn generated_source_is_inspectable() {
     let catalog = catalog().unwrap();
-    let parsed = hique::sql::parse_query(
+    let plan = plan_sql(
         "select dept, count(*) as n from emp where salary > 1200 group by dept order by dept",
+        &catalog,
+        &PlannerConfig::default(),
     )
     .unwrap();
-    let bound = hique::sql::analyze(&parsed, &CatalogProvider::new(&catalog)).unwrap();
-    let plan = plan_query(&bound, &catalog, &PlannerConfig::default()).unwrap();
     let generated = hique::holistic::generate(&plan).unwrap();
     let src = generated.source().full_text();
     assert!(src.contains("stage_emp"));
@@ -176,9 +174,7 @@ fn impossible_filters_estimate_zero_and_return_empty() {
         "select id from emp where id > 50 and id < 10 order by id",
         "select name from emp where name = 'nobody' order by name",
     ] {
-        let parsed = hique::sql::parse_query(sql).unwrap();
-        let bound = hique::sql::analyze(&parsed, &CatalogProvider::new(&catalog)).unwrap();
-        let plan = plan_query(&bound, &catalog, &PlannerConfig::default()).unwrap();
+        let plan = plan_sql(sql, &catalog, &PlannerConfig::default()).unwrap();
         assert_eq!(
             plan.staged[0].estimated_rows, 0,
             "{sql}: analyzed stats must recognize an impossible filter"
@@ -188,9 +184,12 @@ fn impossible_filters_estimate_zero_and_return_empty() {
     }
 
     // A possible equality keeps its exact MCV-backed estimate.
-    let parsed = hique::sql::parse_query("select id from emp where dept = 3 order by id").unwrap();
-    let bound = hique::sql::analyze(&parsed, &CatalogProvider::new(&catalog)).unwrap();
-    let plan = plan_query(&bound, &catalog, &PlannerConfig::default()).unwrap();
+    let plan = plan_sql(
+        "select id from emp where dept = 3 order by id",
+        &catalog,
+        &PlannerConfig::default(),
+    )
+    .unwrap();
     assert_eq!(plan.staged[0].estimated_rows, 20);
     let res = hique::holistic::execute_plan(&plan, &catalog).unwrap();
     assert_eq!(res.num_rows(), 20);

@@ -4,7 +4,7 @@
 
 use hique::dsm::DsmDatabase;
 use hique::iter::ExecMode;
-use hique::plan::{plan_query, CatalogProvider, PlannerConfig};
+use hique::plan::{plan_sql, PlannerConfig};
 use hique::storage::Catalog;
 use hique::tpch;
 use hique::types::tuple::read_value;
@@ -13,9 +13,7 @@ use hique::types::{QueryResult, Value};
 const SF: f64 = 0.004;
 
 fn plan_for(sql: &str, catalog: &Catalog) -> hique::plan::PhysicalPlan {
-    let parsed = hique::sql::parse_query(sql).unwrap();
-    let bound = hique::sql::analyze(&parsed, &CatalogProvider::new(catalog)).unwrap();
-    plan_query(&bound, catalog, &PlannerConfig::default()).unwrap()
+    plan_sql(sql, catalog, &PlannerConfig::default()).unwrap()
 }
 
 fn assert_close(a: &Value, b: &Value, context: &str) {
