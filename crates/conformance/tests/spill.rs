@@ -279,3 +279,60 @@ fn exec_option_overrides_reach_every_engine() {
         );
     }
 }
+
+/// The pool's victim choice is pinned by exact I/O counters: TPC-H Q1, Q3
+/// and Q10 at SF 0.01 behind a 256-page pool, one worker, on the two
+/// generated-code engines.  Each engine gets a fresh fixture and runs the
+/// three queries in order, so every counter is deterministic.  A change to
+/// how the LRU victim is found (rather than which frame it is) must leave
+/// every number here unchanged.
+#[test]
+fn paged_tpch_io_counters_are_pinned() {
+    use hique_tpch::queries::{Q10_SQL, Q1_SQL, Q3_SQL};
+    use hique_types::IoStats;
+
+    const POOL_PAGES: usize = 256;
+    let io = |pool_hits, pool_misses, pool_evictions, pages_read, pages_written| IoStats {
+        pool_hits,
+        pool_misses,
+        pool_evictions,
+        pages_read,
+        pages_written,
+    };
+    // (hits, misses, evictions, pages read, pages written) for Q1, Q3, Q10.
+    let expected = [
+        (
+            Engine::Holistic,
+            [
+                io(0, 3141, 3636, 3141, 495),
+                io(158, 2735, 2637, 2735, 0),
+                io(74, 2737, 2653, 2737, 0),
+            ],
+        ),
+        (
+            Engine::Vm,
+            [
+                io(0, 2646, 3141, 2646, 495),
+                io(158, 2735, 2637, 2735, 0),
+                io(74, 2737, 2653, 2737, 0),
+            ],
+        ),
+    ];
+    let config = PlannerConfig::default()
+        .with_threads(1)
+        .with_memory_budget_pages(POOL_PAGES);
+    for (engine, pinned) in expected {
+        let paged = Fixture::generate_paged(SF, POOL_PAGES).unwrap();
+        for ((name, sql), want) in [("q1", Q1_SQL), ("q3", Q3_SQL), ("q10", Q10_SQL)]
+            .into_iter()
+            .zip(pinned)
+        {
+            let plan = plan_sql(sql, &paged.catalog, &config).unwrap();
+            let compiled = Compiled::new(&plan, &paged.catalog).unwrap();
+            let result = paged
+                .execute(engine, &compiled, &ExecOptions::default())
+                .unwrap();
+            assert_eq!(result.stats.io, want, "{} {name}", engine.name());
+        }
+    }
+}

@@ -38,4 +38,4 @@ pub mod wire;
 pub use cache::{CacheStats, PlanCache, PreparedQuery};
 pub use engine::{execute, Compiled, Engine};
 pub use session::{Server, ServerConfig, Session};
-pub use wire::{serve, WireClient, WireResponse};
+pub use wire::{serve, ServeHandle, WireClient, WireResponse};

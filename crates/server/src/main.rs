@@ -21,8 +21,6 @@
 
 use std::net::TcpListener;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
 use hique_server::{serve, Server, ServerConfig, WireClient};
 
@@ -106,13 +104,8 @@ fn run_daemon(args: Args) -> Result<(), String> {
     let server = build_server(&args)?;
     let listener = TcpListener::bind(("127.0.0.1", args.port))
         .map_err(|e| format!("bind 127.0.0.1:{} failed: {e}", args.port))?;
-    let addr = listener.local_addr().map_err(|e| e.to_string())?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let serve_handle = {
-        let server = server.clone();
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || serve(server, listener, stop))
-    };
+    let serving = serve(server.clone(), listener).map_err(|e| e.to_string())?;
+    let addr = serving.addr();
     eprintln!(
         "hique-server listening on {addr} (sf={}, budget={} pages, max {} sessions); \
          close stdin to stop",
@@ -127,11 +120,7 @@ fn run_daemon(args: Args) -> Result<(), String> {
             Ok(_) => {}
         }
     }
-    stop.store(true, Ordering::Release);
-    serve_handle
-        .join()
-        .map_err(|_| "serve thread panicked".to_string())?
-        .map_err(|e| e.to_string())?;
+    serving.stop().map_err(|e| e.to_string())?;
     let cache = server.cache_stats();
     eprintln!(
         "hique-server stopped: {} queries served, cache {} hits / {} misses",
@@ -150,13 +139,8 @@ fn run_smoke() -> Result<(), String> {
     let server = build_server(&args)?;
     let listener =
         TcpListener::bind("127.0.0.1:0").map_err(|e| format!("ephemeral bind failed: {e}"))?;
-    let addr = listener.local_addr().map_err(|e| e.to_string())?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let serve_handle = {
-        let server = server.clone();
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || serve(server, listener, stop))
-    };
+    let serving = serve(server.clone(), listener).map_err(|e| format!("serve: {e}"))?;
+    let addr = serving.addr();
     eprintln!("smoke: serving on {addr}");
 
     let result = (|| -> Result<(), String> {
@@ -235,11 +219,7 @@ fn run_smoke() -> Result<(), String> {
         Ok(())
     })();
 
-    stop.store(true, Ordering::Release);
-    serve_handle
-        .join()
-        .map_err(|_| "serve thread panicked".to_string())?
-        .map_err(|e| format!("serve loop: {e}"))?;
+    serving.stop().map_err(|e| format!("serve loop: {e}"))?;
     result?;
     eprintln!("smoke: OK");
     Ok(())

@@ -26,11 +26,19 @@
 //! Errors are `ERR <layer>: <message>` followed by `.`.  The protocol is
 //! deliberately `nc`-compatible: no framing beyond newlines, values
 //! tab-separated using the engine's canonical [`Value`] rendering.
+//!
+//! Both ends set `TCP_NODELAY` and hand each message to the socket in one
+//! piece: the server flushes one buffered writer once per reply, the client
+//! sends a request and its newline in one write.  A message split over
+//! several small writes would otherwise meet Nagle's algorithm, which holds
+//! its tail until the peer's delayed ACK, about 40 ms on Linux.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::fmt::Display;
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use hique_types::{HiqueError, QueryResult, Result};
@@ -38,8 +46,12 @@ use hique_types::{HiqueError, QueryResult, Result};
 use crate::engine::Engine;
 use crate::session::{Server, Session};
 
-/// How often an idle connection or the accept loop re-checks the stop flag.
+/// How often an idle connection re-checks the stop flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(100);
+
+/// Capacity of a connection's reply buffer.  A reply that fits leaves in
+/// one write; a larger one leaves in full buffers, then one flush.
+const REPLY_BUFFER: usize = 64 * 1024;
 
 /// Longest request line accepted, in bytes.  A longer line gets a typed
 /// `ERR` (its excess is discarded) instead of buffering without bound, and
@@ -50,28 +62,61 @@ fn io_err(e: std::io::Error) -> HiqueError {
     HiqueError::Storage(format!("wire i/o: {e}"))
 }
 
-/// Serve connections on `listener` until `stop` is set.  Each connection
-/// gets its own [`Session`] on its own thread; the call blocks until stop,
-/// then joins every connection thread (connections see the flag within one
-/// poll interval).
-pub fn serve(server: Server, listener: TcpListener, stop: Arc<AtomicBool>) -> Result<()> {
-    listener.set_nonblocking(true).map_err(io_err)?;
+/// A running accept loop, started by [`serve`].
+pub struct ServeHandle {
+    addr: SocketAddr,
+    stop: Arc<AtomicBool>,
+    thread: JoinHandle<Result<()>>,
+}
+
+/// Serve connections on `listener` from a background thread until
+/// [`ServeHandle::stop`].  Each connection gets its own [`Session`] on its
+/// own thread.
+pub fn serve(server: Server, listener: TcpListener) -> Result<ServeHandle> {
+    let addr = listener.local_addr().map_err(io_err)?;
+    let stop = Arc::new(AtomicBool::new(false));
+    let thread = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || accept_loop(server, listener, stop))
+    };
+    Ok(ServeHandle { addr, stop, thread })
+}
+
+impl ServeHandle {
+    /// The address the server listens on.
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Stop accepting, drain the open connections and join the accept
+    /// thread.  The accept loop blocks in `accept`, so after setting the
+    /// flag this makes one loopback connection to wake it.
+    pub fn stop(self) -> Result<()> {
+        self.stop.store(true, Ordering::Release);
+        // A failed connect means the loop has already exited on an error,
+        // which the join reports.
+        let _ = TcpStream::connect(self.addr);
+        self.thread
+            .join()
+            .map_err(|_| HiqueError::Execution("accept thread panicked".into()))?
+    }
+}
+
+/// Accept connections until `stop` is set, then join every connection
+/// thread (connections see the flag within one poll interval).
+fn accept_loop(server: Server, listener: TcpListener, stop: Arc<AtomicBool>) -> Result<()> {
     let mut workers = Vec::new();
-    while !stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _addr)) => {
-                let session = server.session();
-                let server = server.clone();
-                let stop = Arc::clone(&stop);
-                workers.push(std::thread::spawn(move || {
-                    let _ = handle_connection(stream, server, session, stop);
-                }));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
-            }
-            Err(e) => return Err(io_err(e)),
+    for stream in listener.incoming() {
+        if stop.load(Ordering::Acquire) {
+            break;
         }
+        let stream = stream.map_err(io_err)?;
+        let session = server.session();
+        let server = server.clone();
+        let stop = Arc::clone(&stop);
+        workers.push(std::thread::spawn(move || {
+            let _ = handle_connection(stream, server, session, stop);
+        }));
     }
     // Drain on shutdown: cancel every in-flight statement so connection
     // threads finish their current response (a typed `ERR cancelled`, not a
@@ -160,14 +205,26 @@ fn write_result(out: &mut impl Write, result: &QueryResult) -> std::io::Result<(
     let cols = result.schema.columns();
     writeln!(out, "OK {} {}", result.rows.len(), cols.len())?;
     if !cols.is_empty() {
-        let names: Vec<&str> = cols.iter().map(|c| c.name.as_str()).collect();
-        writeln!(out, "{}", names.join("\t"))?;
+        write_fields(out, cols.iter().map(|c| &c.name))?;
         for row in &result.rows {
-            let vals: Vec<String> = row.values().iter().map(|v| v.to_string()).collect();
-            writeln!(out, "{}", vals.join("\t"))?;
+            write_fields(out, row.values())?;
         }
     }
     writeln!(out, ".")
+}
+
+/// Write one tab-separated line.
+fn write_fields<T: Display>(
+    out: &mut impl Write,
+    fields: impl IntoIterator<Item = T>,
+) -> std::io::Result<()> {
+    for (i, field) in fields.into_iter().enumerate() {
+        if i > 0 {
+            out.write_all(b"\t")?;
+        }
+        write!(out, "{field}")?;
+    }
+    out.write_all(b"\n")
 }
 
 fn write_err(out: &mut impl Write, e: &HiqueError) -> std::io::Result<()> {
@@ -176,115 +233,114 @@ fn write_err(out: &mut impl Write, e: &HiqueError) -> std::io::Result<()> {
     writeln!(out, ".")
 }
 
+/// Write the reply to one non-empty request line.  Returns false when the
+/// connection should close once the reply is flushed.
+fn respond(
+    out: &mut impl Write,
+    request: &str,
+    server: &Server,
+    session: &mut Session,
+) -> std::io::Result<bool> {
+    let Some(command) = request.strip_prefix('.') else {
+        match session.execute(request) {
+            Ok(result) => write_result(out, &result)?,
+            Err(e) => write_err(out, &e)?,
+        }
+        return Ok(true);
+    };
+    let mut parts = command.split_whitespace();
+    match (parts.next(), parts.next()) {
+        (Some("quit"), _) => {
+            writeln!(out, "OK bye\n.")?;
+            return Ok(false);
+        }
+        (Some("engine"), Some(name)) => match Engine::parse(name) {
+            Ok(engine) => {
+                session.set_engine(engine);
+                writeln!(out, "OK engine {}\n.", engine.name())?;
+            }
+            Err(e) => write_err(out, &e)?,
+        },
+        (Some("engine"), None) => write_err(
+            out,
+            &HiqueError::Unsupported(".engine needs an argument".into()),
+        )?,
+        (Some("timeout"), Some(ms)) => match ms.parse::<u64>() {
+            Ok(0) => {
+                session.set_timeout(None);
+                writeln!(out, "OK timeout off\n.")?;
+            }
+            Ok(ms) => {
+                session.set_timeout(Some(Duration::from_millis(ms)));
+                writeln!(out, "OK timeout {ms}\n.")?;
+            }
+            Err(_) => write_err(
+                out,
+                &HiqueError::Parse(".timeout needs milliseconds (0 clears)".into()),
+            )?,
+        },
+        (Some("timeout"), None) => write_err(
+            out,
+            &HiqueError::Unsupported(".timeout needs an argument".into()),
+        )?,
+        (Some("stats"), _) => {
+            let cache = server.cache_stats();
+            writeln!(
+                out,
+                "OK stats\ncache_hits={}\ncache_misses={}\ncache_entries={}\nqueries={}\nqueries_cancelled={}\nengine={}\n.",
+                cache.hits,
+                cache.misses,
+                cache.entries,
+                server.queries_served(),
+                server.queries_cancelled(),
+                session.engine().name()
+            )?;
+        }
+        _ => write_err(
+            out,
+            &HiqueError::Unsupported(format!("unknown command '{request}'")),
+        )?,
+    }
+    Ok(true)
+}
+
 fn handle_connection(
     stream: TcpStream,
     server: Server,
     mut session: Session,
     stop: Arc<AtomicBool>,
 ) -> Result<()> {
+    stream.set_nodelay(true).map_err(io_err)?;
     stream
         .set_read_timeout(Some(POLL_INTERVAL))
         .map_err(io_err)?;
-    let mut writer = stream.try_clone().map_err(io_err)?;
+    let mut out = BufWriter::with_capacity(REPLY_BUFFER, stream.try_clone().map_err(io_err)?);
     let mut reader = BufReader::new(stream);
     let mut buf = Vec::new();
-    while !stop.load(Ordering::Acquire) {
-        match read_request_line(&mut reader, &stop, &mut buf) {
+    loop {
+        let reply = match read_request_line(&mut reader, &stop, &mut buf) {
             LineRead::Closed => break,
-            LineRead::TooLong => {
-                let e = HiqueError::Parse(format!(
+            LineRead::TooLong => write_err(
+                &mut out,
+                &HiqueError::Parse(format!(
                     "request line exceeds {MAX_LINE} bytes; excess discarded"
-                ));
-                if write_err(&mut writer, &e).is_err() || writer.flush().is_err() {
-                    break;
-                }
-                continue;
-            }
-            LineRead::Line => {}
-        }
-        let request = match std::str::from_utf8(&buf) {
-            Ok(s) => s.trim(),
-            Err(_) => {
-                let e = HiqueError::Parse("request is not valid UTF-8".into());
-                if write_err(&mut writer, &e).is_err() || writer.flush().is_err() {
-                    break;
-                }
-                continue;
-            }
-        };
-        if request.is_empty() {
-            continue;
-        }
-        let outcome = if let Some(command) = request.strip_prefix('.') {
-            let mut parts = command.split_whitespace();
-            match parts.next() {
-                Some("quit") => {
-                    let _ = writeln!(writer, "OK bye\n.");
-                    break;
-                }
-                Some("engine") => match parts.next().map(Engine::parse) {
-                    Some(Ok(engine)) => {
-                        session.set_engine(engine);
-                        writeln!(writer, "OK engine {}\n.", engine.name()).map_err(io_err)
-                    }
-                    Some(Err(e)) => write_err(&mut writer, &e).map_err(io_err),
-                    None => write_err(
-                        &mut writer,
-                        &HiqueError::Unsupported(".engine needs an argument".into()),
-                    )
-                    .map_err(io_err),
-                },
-                Some("timeout") => match parts.next().map(str::parse::<u64>) {
-                    Some(Ok(0)) => {
-                        session.set_timeout(None);
-                        writeln!(writer, "OK timeout off\n.").map_err(io_err)
-                    }
-                    Some(Ok(ms)) => {
-                        session.set_timeout(Some(Duration::from_millis(ms)));
-                        writeln!(writer, "OK timeout {ms}\n.").map_err(io_err)
-                    }
-                    Some(Err(_)) => write_err(
-                        &mut writer,
-                        &HiqueError::Parse(".timeout needs milliseconds (0 clears)".into()),
-                    )
-                    .map_err(io_err),
-                    None => write_err(
-                        &mut writer,
-                        &HiqueError::Unsupported(".timeout needs an argument".into()),
-                    )
-                    .map_err(io_err),
-                },
-                Some("stats") => {
-                    let cache = server.cache_stats();
-                    writeln!(
-                        writer,
-                        "OK stats\ncache_hits={}\ncache_misses={}\ncache_entries={}\nqueries={}\nqueries_cancelled={}\nengine={}\n.",
-                        cache.hits,
-                        cache.misses,
-                        cache.entries,
-                        server.queries_served(),
-                        server.queries_cancelled(),
-                        session.engine().name()
-                    )
-                    .map_err(io_err)
-                }
-                _ => write_err(
-                    &mut writer,
-                    &HiqueError::Unsupported(format!("unknown command '{request}'")),
+                )),
+            )
+            .map(|()| true),
+            LineRead::Line => match std::str::from_utf8(&buf).map(str::trim) {
+                Ok("") => continue,
+                Ok(request) => respond(&mut out, request, &server, &mut session),
+                Err(_) => write_err(
+                    &mut out,
+                    &HiqueError::Parse("request is not valid UTF-8".into()),
                 )
-                .map_err(io_err),
-            }
-        } else {
-            match session.execute(request) {
-                Ok(result) => write_result(&mut writer, &result).map_err(io_err),
-                Err(e) => write_err(&mut writer, &e).map_err(io_err),
-            }
+                .map(|()| true),
+            },
         };
-        if outcome.is_err() {
-            break; // client went away mid-response
-        }
-        if writer.flush().is_err() {
-            break;
+        // One flush per reply; an error means the client went away.
+        match reply.and_then(|open| out.flush().map(|()| open)) {
+            Ok(true) => {}
+            Ok(false) | Err(_) => break,
         }
     }
     Ok(())
@@ -327,6 +383,7 @@ impl WireClient {
     /// Connect to a running server.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<WireClient> {
         let stream = TcpStream::connect(addr).map_err(io_err)?;
+        stream.set_nodelay(true).map_err(io_err)?;
         let writer = stream.try_clone().map_err(io_err)?;
         Ok(WireClient {
             reader: BufReader::new(stream),
@@ -336,8 +393,10 @@ impl WireClient {
 
     /// Send one request line and read the full response.
     pub fn request(&mut self, line: &str) -> Result<WireResponse> {
-        writeln!(self.writer, "{line}").map_err(io_err)?;
-        self.writer.flush().map_err(io_err)?;
+        // Line and newline in one write: see the module docs.
+        self.writer
+            .write_all(format!("{line}\n").as_bytes())
+            .map_err(io_err)?;
         let mut status = String::new();
         if self.reader.read_line(&mut status).map_err(io_err)? == 0 {
             return Err(HiqueError::Storage("server closed the connection".into()));
@@ -405,24 +464,16 @@ mod tests {
         catalog_sized(100)
     }
 
-    fn start(server: &Server) -> (std::net::SocketAddr, Arc<AtomicBool>, ServeHandle) {
+    fn start(server: &Server) -> (SocketAddr, ServeHandle) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let stop = Arc::new(AtomicBool::new(false));
-        let handle = {
-            let server = server.clone();
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || serve(server, listener, stop))
-        };
-        (addr, stop, handle)
+        let handle = serve(server.clone(), listener).unwrap();
+        (handle.addr(), handle)
     }
-
-    type ServeHandle = std::thread::JoinHandle<Result<()>>;
 
     #[test]
     fn queries_commands_and_errors_round_trip_over_tcp() {
         let server = Server::new(catalog(), ServerConfig::default()).unwrap();
-        let (addr, stop, serve_handle) = start(&server);
+        let (addr, serving) = start(&server);
 
         let mut client = WireClient::connect(addr).unwrap();
         let resp = client
@@ -464,8 +515,7 @@ mod tests {
         assert!(c2.query("select k from r where k = 1").is_ok());
         drop(c2);
 
-        stop.store(true, Ordering::Release);
-        serve_handle.join().unwrap().unwrap();
+        serving.stop().unwrap();
         assert_eq!(server.queries_served(), 3);
     }
 
@@ -476,7 +526,7 @@ mod tests {
     #[test]
     fn hostile_wire_input_leaves_the_server_usable() {
         let server = Server::new(catalog(), ServerConfig::default()).unwrap();
-        let (addr, stop, serve_handle) = start(&server);
+        let (addr, serving) = start(&server);
 
         // Oversized request line: typed ERR, connection stays usable.
         let mut client = WireClient::connect(addr).unwrap();
@@ -530,8 +580,7 @@ mod tests {
             .unwrap();
         assert_eq!(resp.status, "OK 5 2");
 
-        stop.store(true, Ordering::Release);
-        serve_handle.join().unwrap().unwrap();
+        serving.stop().unwrap();
     }
 
     /// Tentpole: `.timeout <ms>` installs a per-statement deadline.  A query
@@ -542,7 +591,7 @@ mod tests {
     fn timeout_command_cancels_a_long_query_with_a_typed_error() {
         // Big enough that scanning it takes well over the 1ms deadline.
         let server = Server::new(catalog_sized(400_000), ServerConfig::default()).unwrap();
-        let (addr, stop, serve_handle) = start(&server);
+        let (addr, serving) = start(&server);
 
         let mut client = WireClient::connect(addr).unwrap();
         let resp = client.request(".timeout 1").unwrap();
@@ -579,8 +628,7 @@ mod tests {
         let err = client.request(".timeout").unwrap();
         assert!(err.status.starts_with("ERR unsupported:"), "{}", err.status);
 
-        stop.store(true, Ordering::Release);
-        serve_handle.join().unwrap().unwrap();
+        serving.stop().unwrap();
     }
 
     /// Tentpole: shutdown drains in-flight queries by cancelling them.  A
@@ -589,7 +637,7 @@ mod tests {
     #[test]
     fn shutdown_drains_in_flight_queries_with_cancellation() {
         let server = Server::new(catalog_sized(400_000), ServerConfig::default()).unwrap();
-        let (addr, stop, serve_handle) = start(&server);
+        let (addr, serving) = start(&server);
 
         // Warm the plan cache so the in-flight request below spends its time
         // executing (cancellable) rather than planning (not), and reuse the
@@ -605,8 +653,7 @@ mod tests {
         });
         // Let the statement get in flight, then stop the server.
         std::thread::sleep(Duration::from_millis(30));
-        stop.store(true, Ordering::Release);
-        serve_handle.join().unwrap().unwrap();
+        serving.stop().unwrap();
 
         let resp = client_thread.join().unwrap();
         match resp {
@@ -621,5 +668,49 @@ mod tests {
             }
             Err(e) => panic!("drain must answer, not drop the connection: {e}"),
         }
+    }
+
+    /// Each round trip is one request write and one reply flush on
+    /// no-delay sockets, so it waits on no delayed ACK (about 40 ms each
+    /// when a message leaves in pieces).
+    #[test]
+    fn round_trips_do_not_stall_on_delayed_acks() {
+        let server = Server::new(catalog(), ServerConfig::default()).unwrap();
+        let (addr, serving) = start(&server);
+        let mut client = WireClient::connect(addr).unwrap();
+        let sql = "select k, count(*) as n from r group by k order by k";
+        client.query(sql).unwrap();
+        let started = std::time::Instant::now();
+        for _ in 0..200 {
+            assert_eq!(client.query(sql).unwrap().rows().len(), 5);
+        }
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < Duration::from_secs(2),
+            "200 round trips took {elapsed:?}"
+        );
+        serving.stop().unwrap();
+    }
+
+    /// A reply several times the reply buffer leaves in full buffers plus
+    /// one flush, and arrives whole and in order.
+    #[test]
+    fn reply_larger_than_the_reply_buffer_arrives_intact() {
+        const ROWS: i32 = 20_000;
+        let server = Server::new(catalog_sized(ROWS), ServerConfig::default()).unwrap();
+        let (addr, serving) = start(&server);
+        let mut client = WireClient::connect(addr).unwrap();
+        let resp = client.query("select k, v from r order by v").unwrap();
+        assert_eq!(resp.status, format!("OK {ROWS} 2"));
+        assert_eq!(resp.lines[0], "k\tv");
+        let want: Vec<String> = (0..ROWS)
+            .map(|i| format!("{}\t{}", Value::Int32(i % 5), Value::Float64(i as f64)))
+            .collect();
+        assert_eq!(resp.rows(), want.as_slice());
+        let bytes: usize = resp.lines.iter().map(|l| l.len() + 1).sum();
+        assert!(bytes > 2 * REPLY_BUFFER, "reply of {bytes} bytes");
+        // The connection stays usable after the large reply.
+        assert!(client.request(".stats").unwrap().is_ok());
+        serving.stop().unwrap();
     }
 }

@@ -7,13 +7,15 @@
 //! `capacity` frames, which is what makes `memory_budget_pages` a single
 //! global knob.  The least-recently-used unpinned frame is evicted when the
 //! pool is full; dirty frames are written back on eviction and on flush.
+//! Unpinned frames are indexed by their last access, so finding the victim
+//! costs O(log capacity) rather than a scan of every frame.
 //!
 //! Pin/unpin is safe under the `crates/par` scoped pool: all state
 //! transitions (including the disk read that fills a missing frame) happen
 //! under one mutex, so two workers fetching the same non-resident page can
 //! never double-insert a frame and lose a pin count.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use hique_types::{HiqueError, IoStats, Result};
@@ -55,6 +57,10 @@ struct Frame {
 
 struct PoolState {
     frames: HashMap<PageId, Frame>,
+    /// Every unpinned frame, keyed by its `last_used`.  The clock ticks on
+    /// every fetch and write, so keys are unique, and the first entry is
+    /// the least-recently-used unpinned frame: the eviction victim.
+    unpinned: BTreeMap<u64, PageId>,
     files: HashMap<FileId, Arc<DiskManager>>,
     next_file: FileId,
     clock: u64,
@@ -135,6 +141,7 @@ impl BufferPool {
             capacity,
             state: Mutex::new(PoolState {
                 frames: HashMap::new(),
+                unpinned: BTreeMap::new(),
                 files: HashMap::new(),
                 next_file: 0,
                 clock: 0,
@@ -242,7 +249,8 @@ impl BufferPool {
     /// caller bug (a page guard outliving its namespace) and surface as a
     /// typed error with nothing removed.
     pub fn unregister_file(&self, file: FileId) -> Result<()> {
-        let mut s = self.state.lock();
+        let mut guard = self.state.lock();
+        let s = &mut *guard;
         if s.frames
             .iter()
             .any(|(id, f)| id.file == file && f.pin_count > 0)
@@ -251,7 +259,12 @@ impl BufferPool {
                 "cannot unregister file {file}: pinned frames outstanding"
             )));
         }
-        s.frames.retain(|id, _| id.file != file);
+        s.frames.retain(|id, f| {
+            if id.file == file {
+                s.unpinned.remove(&f.last_used);
+            }
+            id.file != file
+        });
         s.files.remove(&file);
         Ok(())
     }
@@ -290,6 +303,9 @@ impl BufferPool {
         s.clock += 1;
         let clock = s.clock;
         if let Some(frame) = s.frames.get_mut(&id) {
+            if frame.pin_count == 0 {
+                s.unpinned.remove(&frame.last_used);
+            }
             frame.pin_count += 1;
             frame.last_used = clock;
             let page = frame.page.clone();
@@ -354,7 +370,8 @@ impl BufferPool {
     /// is currently pinned keeps its pin count.  When the pool is full of
     /// pinned frames the page is written straight to disk instead.
     pub fn write(&self, id: PageId, page: Page) -> Result<()> {
-        let mut s = self.state.lock();
+        let mut guard = self.state.lock();
+        let s = &mut *guard;
         // Validate the file before touching any state: installing a dirty
         // frame for an unregistered file would create an unevictable orphan
         // that wedges every later eviction.
@@ -366,12 +383,16 @@ impl BufferPool {
         s.clock += 1;
         let clock = s.clock;
         if let Some(frame) = s.frames.get_mut(&id) {
+            if frame.pin_count == 0 {
+                s.unpinned.remove(&frame.last_used);
+                s.unpinned.insert(clock, id);
+            }
             frame.page = page;
             frame.dirty = true;
             frame.last_used = clock;
             return Ok(());
         }
-        if s.frames.len() >= self.capacity && !Self::evict_one(&mut s)? {
+        if s.frames.len() >= self.capacity && !Self::evict_one(s)? {
             // Fully pinned pool: write through to disk, bypassing the pool.
             disk.write_page(id.page as usize, &page)?;
             s.stats.pages_written += 1;
@@ -386,7 +407,8 @@ impl BufferPool {
                 last_used: clock,
             },
         );
-        Self::note_resident(&mut s);
+        s.unpinned.insert(clock, id);
+        Self::note_resident(s);
         Ok(())
     }
 
@@ -410,6 +432,10 @@ impl BufferPool {
             )));
         }
         frame.pin_count -= 1;
+        if frame.pin_count == 0 {
+            let last_used = frame.last_used;
+            s.unpinned.insert(last_used, id);
+        }
         Ok(())
     }
 
@@ -444,20 +470,15 @@ impl BufferPool {
     /// write-back re-inserts the frame and surfaces the typed error — a
     /// dirty page is never silently dropped.
     fn evict_one(s: &mut PoolState) -> Result<bool> {
-        let Some(victim) = s
-            .frames
-            .iter()
-            .filter(|(_, f)| f.pin_count == 0)
-            .min_by_key(|(_, f)| f.last_used)
-            .map(|(&id, _)| id)
-        else {
+        let Some((last_used, victim)) = s.unpinned.pop_first() else {
             return Ok(false);
         };
-        // Deliberately infallible: `victim` was selected from `frames`
-        // under the same lock held across both statements.
+        // Deliberately infallible: the index holds exactly the unpinned
+        // frames, and both are only changed under the same lock.
         let frame = s.frames.remove(&victim).expect("victim exists");
         if frame.dirty {
             let Some(disk) = s.files.get(&victim.file).cloned() else {
+                s.unpinned.insert(last_used, victim);
                 s.frames.insert(victim, frame);
                 return Err(HiqueError::Storage(format!(
                     "dirty frame {}:{} has no registered file to write back to",
@@ -465,6 +486,7 @@ impl BufferPool {
                 )));
             };
             if let Err(e) = disk.write_page(victim.page as usize, &frame.page) {
+                s.unpinned.insert(last_used, victim);
                 s.frames.insert(victim, frame);
                 return Err(e);
             }
@@ -874,6 +896,130 @@ mod tests {
         assert_eq!(page.record(0), &0u64.to_le_bytes());
         pool.unpin(PageId::new(f, 0)).unwrap();
         std::fs::remove_file(&path).ok();
+    }
+
+    /// The victim index holds exactly the unpinned frames, each keyed by
+    /// its `last_used`.
+    fn assert_index_matches_frames(pool: &BufferPool, step: usize) {
+        let s = pool.state.lock();
+        let want: BTreeMap<u64, PageId> = s
+            .frames
+            .iter()
+            .filter(|(_, f)| f.pin_count == 0)
+            .map(|(&id, f)| (f.last_used, id))
+            .collect();
+        assert_eq!(s.unpinned, want, "step {step}");
+    }
+
+    /// The frame a brute-force scan of every frame would evict next.
+    fn scan_victim(pool: &BufferPool) -> Option<PageId> {
+        let s = pool.state.lock();
+        s.frames
+            .iter()
+            .filter(|(_, f)| f.pin_count == 0)
+            .min_by_key(|(_, f)| f.last_used)
+            .map(|(&id, _)| id)
+    }
+
+    fn resident_ids(pool: &BufferPool) -> Vec<PageId> {
+        let mut ids: Vec<PageId> = pool.state.lock().frames.keys().copied().collect();
+        ids.sort_by_key(|id| (id.file, id.page));
+        ids
+    }
+
+    #[test]
+    fn victim_index_matches_a_full_scan_under_random_operations() {
+        const PAGES: usize = 6;
+        let (pool, fa, pa) = setup("index_a", PAGES, 4);
+        let open_b = |generation: usize| {
+            let path = temp_path(&format!("index_b{generation}"));
+            std::fs::remove_file(&path).ok();
+            let dm = Arc::new(DiskManager::open(&path).unwrap());
+            for i in 0..PAGES {
+                dm.write_page(i, &page_with(100 + i as u64)).unwrap();
+            }
+            (pool.register_file(dm), path)
+        };
+        let mut generation = 0;
+        let (mut fb, mut pb) = open_b(generation);
+        let mut paths = vec![pb.clone()];
+        let mut pins: Vec<PageId> = Vec::new();
+        let mut rng = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = move |n: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % n
+        };
+        let (mut evictions, mut faults) = (0, 0);
+        for step in 0..3000 {
+            let victim = scan_victim(&pool);
+            let before = resident_ids(&pool);
+            let file = if next(2) == 0 { fa } else { fb };
+            let id = PageId::new(file, next(PAGES as u64) as usize);
+            match next(12) {
+                0..=2 => {
+                    if pool.fetch(id).is_ok() {
+                        pins.push(id);
+                    }
+                }
+                3..=4 => {
+                    if let Ok(Fetched::Pinned(_)) = pool.fetch_or_bypass(id) {
+                        pins.push(id);
+                    }
+                }
+                5..=6 => {
+                    let _ = pool.write(id, page_with(step as u64));
+                }
+                7..=9 => {
+                    if !pins.is_empty() {
+                        let i = next(pins.len() as u64) as usize;
+                        pool.unpin(pins.swap_remove(i)).unwrap();
+                    }
+                }
+                10 => {
+                    let pinned = pins.iter().any(|p| p.file == fb);
+                    assert_eq!(pool.unregister_file(fb).is_err(), pinned, "step {step}");
+                    if !pinned {
+                        generation += 1;
+                        (fb, pb) = open_b(generation);
+                        paths.push(pb.clone());
+                    }
+                }
+                _ => {
+                    let nth = 1 + next(2);
+                    faults += pool.faults_injected();
+                    pool.set_fault_plan(Some(Arc::new(FaultPlan::new().fail_nth_write(nth))));
+                }
+            }
+            assert_index_matches_frames(&pool, step);
+            let evicted = pool.stats().evictions - evictions;
+            evictions += evicted;
+            assert!(evicted <= 1, "step {step}: {evicted} evictions");
+            if evicted == 1 {
+                let victim = victim.expect("an eviction needs an unpinned frame");
+                let after = resident_ids(&pool);
+                assert!(before.contains(&victim), "step {step}");
+                assert!(
+                    !after.contains(&victim),
+                    "step {step}: scan victim still resident"
+                );
+                assert!(
+                    before.iter().all(|p| *p == victim || after.contains(p)),
+                    "step {step}: evicted a frame other than the scan victim"
+                );
+            }
+        }
+        faults += pool.faults_injected();
+        assert!(
+            evictions > 100,
+            "the pool was not under pressure: {evictions}"
+        );
+        assert!(faults > 10, "too few write-back faults: {faults}");
+        assert!(generation > 10, "too few unregistrations: {generation}");
+        for path in paths.iter().chain([&pa]) {
+            std::fs::remove_file(path).ok();
+        }
     }
 
     #[test]
